@@ -14,14 +14,11 @@ import time
 
 from . import oracle as oracle_mod
 from .bfs import bfs_tree
-from .core import (MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                   MODE_SMALLEST_RADIUS, disk_contains, load_sites,
-                   normalize, spanner_parameters)
-from .decomposition import (VARIANT_GENERAL, VARIANT_RATIO, VARIANT_SPREAD,
-                            augment_with_wspd, build_compressed_quadtree,
-                            build_quadforest, build_quadtree,
-                            check_decomposition, compute_wspd,
-                            decomposition_dump, derive_decomposition)
+from .core import (disk_contains, load_sites, make_sites, normalize,
+                   spanner_parameters)
+from .decomposition import (NORMALIZE_MODE, VARIANT_SPREAD, build_hierarchy,
+                            check_decomposition, decomposition_dump,
+                            derive_decomposition)
 from .reachability import GeomOracle, geom_reach
 from .spanner import BUILDERS, SpannerGraph, verify_shorter_edge
 
@@ -66,7 +63,6 @@ def generate_sites(n, distribution="uniform-square", radius_model="constant",
         else:
             r = min(base * psi_cap, base * rng.paretovariate(1.5))
         coords.append((x, y, r))
-    from .core import make_sites
     return make_sites(coords)
 
 
@@ -101,22 +97,10 @@ def _attach_variant(H, sites, variant):
     """Recover normalization metadata for a spanner loaded from disk."""
     if variant is None or H.n <= 1:
         return
-    mode = {VARIANT_SPREAD: MODE_CLOSEST_PAIR_C,
-            VARIANT_RATIO: MODE_SMALLEST_RADIUS,
-            VARIANT_GENERAL: MODE_CLOSEST_PAIR_C2}[variant]
-    _, scale, offset = normalize(sites, mode, H.params.c)
+    _, scale, offset = normalize(sites, NORMALIZE_MODE[variant], H.params.c)
     H.variant = variant
     H.scale = scale
     H.offset = offset
-
-
-def _build_structure(norm, params, variant):
-    if variant == VARIANT_SPREAD:
-        return build_quadtree(norm, params)
-    if variant == VARIANT_RATIO:
-        return build_quadforest(norm, params)
-    root = build_compressed_quadtree(norm, params)
-    return augment_with_wspd(root, compute_wspd(root, params.c), params, norm)
 
 
 def _cmd_verify(args):
@@ -147,11 +131,8 @@ def _cmd_verify(args):
         print("shorter-edge check: skipped")
     if args.variant is not None and len(sites) >= 2 \
             and H.n <= oracle_mod.MATERIALIZE_CAP and H.params is not None:
-        mode = {VARIANT_SPREAD: MODE_CLOSEST_PAIR_C,
-                VARIANT_RATIO: MODE_SMALLEST_RADIUS,
-                VARIANT_GENERAL: MODE_CLOSEST_PAIR_C2}[args.variant]
-        norm, _, _ = normalize(sites, mode, H.params.c)
-        structure = _build_structure(norm, H.params, args.variant)
+        norm, _, _ = normalize(sites, NORMALIZE_MODE[args.variant], H.params.c)
+        structure = build_hierarchy(norm, H.params, args.variant)
         decomp = derive_decomposition(structure, H.params, args.variant, norm)
         bad_i, bad_ii = check_decomposition(decomp, norm,
                                             oracle_mod.materialize(norm))
@@ -230,14 +211,11 @@ def _cmd_stats(args):
 def _cmd_inspect(args):
     sites = load_sites(args.sites)
     params = spanner_parameters(args.t)
-    mode = {VARIANT_SPREAD: MODE_CLOSEST_PAIR_C,
-            VARIANT_RATIO: MODE_SMALLEST_RADIUS,
-            VARIANT_GENERAL: MODE_CLOSEST_PAIR_C2}[args.variant]
     if len(sites) >= 2:
-        norm, _, _ = normalize(sites, mode, params.c)
+        norm, _, _ = normalize(sites, NORMALIZE_MODE[args.variant], params.c)
     else:
         norm = sites
-    structure = _build_structure(norm, params, args.variant)
+    structure = build_hierarchy(norm, params, args.variant)
     decomp = derive_decomposition(structure, params, args.variant, norm)
     print(decomposition_dump(decomp))
     return 0

@@ -19,7 +19,7 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Site:
-    """A planar point with a positive transmission radius."""
+    """A planar point with a positive transmission radius, all finite."""
 
     id: int
     x: float
@@ -27,6 +27,10 @@ class Site:
     radius: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and math.isfinite(self.radius)):
+            raise ValueError(f"site {self.id}: coordinates and radius must be "
+                             f"finite, got ({self.x}, {self.y}, {self.radius})")
         if not self.radius > 0:
             raise ValueError(f"site {self.id}: radius must be positive, got {self.radius}")
 
@@ -38,7 +42,7 @@ def make_sites(coords):
 
 def load_sites(path):
     """Read a site file: one `x y r` triple per line, `#` starts a comment."""
-    coords = []
+    sites = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -48,10 +52,11 @@ def load_sites(path):
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'x y r', got {line!r}")
             x, y, r = (float(p) for p in parts)
-            if not r > 0:
-                raise ValueError(f"{path}:{lineno}: radius must be positive, got {r}")
-            coords.append((x, y, r))
-    return make_sites(coords)
+            try:
+                sites.append(Site(len(sites), x, y, r))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return sites
 
 
 def save_sites(sites, path):

@@ -16,12 +16,21 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (EPS, SQRT2, GridCell, cell_distance, cell_of,
-                   closest_pair, cone_range_for_cell, same_level_gap_sq)
+from .core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
+                   MODE_SMALLEST_RADIUS, SQRT2, GridCell, cell_distance,
+                   cell_of, closest_pair, cone_range_for_cell,
+                   same_level_gap_sq)
 
 VARIANT_SPREAD = "spread"
 VARIANT_RATIO = "ratio"
 VARIANT_GENERAL = "general"
+
+# how each variant rescales its input before building its hierarchy
+NORMALIZE_MODE = {
+    VARIANT_SPREAD: MODE_CLOSEST_PAIR_C,
+    VARIANT_RATIO: MODE_SMALLEST_RADIUS,
+    VARIANT_GENERAL: MODE_CLOSEST_PAIR_C2,
+}
 
 
 class QuadNode:
@@ -420,6 +429,17 @@ def augment_with_wspd(root, wspd, params, sites):
     return new_root
 
 
+def build_hierarchy(sites, params, variant):
+    """The cell hierarchy a variant derives its decomposition from, over
+    sites already normalized with NORMALIZE_MODE[variant]."""
+    if variant == VARIANT_SPREAD:
+        return build_quadtree(sites, params)
+    if variant == VARIANT_RATIO:
+        return build_quadforest(sites, params)
+    root = build_compressed_quadtree(sites, params)
+    return augment_with_wspd(root, compute_wspd(root, params.c), params, sites)
+
+
 # ---------------------------------------------------------------------------
 # annulus decomposition
 
@@ -560,7 +580,7 @@ def derive_decomposition(structure, params, variant, sites,
     variant selects the lower endpoint of the assignment interval
     (c for the tree/forest variants, c - 2 for the compressed one) and
     whether the decomposition is partial (ratio variant: edges between
-    close level-0 cells are handled by clique spanners instead).
+    close level-0 cells are left to the Yao graph of UDG(r_min)).
     """
     roots = structure if isinstance(structure, list) else [structure]
     nodes = collect_nodes(roots)
@@ -577,8 +597,8 @@ def derive_decomposition(structure, params, variant, sites,
     return decomp
 
 
-def cone_assignments(decomp, prune=True):
-    """Neighbor pairs annotated with the cones that must consider them.
+def cone_assignments(decomp):
+    """Pruned neighbor pairs annotated with the cones that must consider them.
 
     Returns an int64 array of rows (cone, level, target id, source id)
     sorted lexicographically, ready for the per-cone selection sweep. A
@@ -587,7 +607,7 @@ def cone_assignments(decomp, prune=True):
     arithmetic mirrors cone_range_for_cell, vectorized over all pairs.
     """
     k = decomp.params.k
-    tv, tt, lvl = neighbor_pair_rows(decomp, prune=prune)
+    tv, tt, lvl = neighbor_pair_rows(decomp, prune=True)
     if len(tv) == 0:
         return np.zeros((0, 4), dtype=np.int64)
     nodes = decomp.nodes

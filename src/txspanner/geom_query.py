@@ -174,11 +174,3 @@ class DiskContainment:
             if disk_contains(s, x, y):
                 return s
         return None
-
-
-def build_disk_containment(sites):
-    return DiskContainment(sites)
-
-
-def dc_query(struct, x, y):
-    return struct.query(x, y)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import (MODE_SMALLEST_RADIUS, cell_of, cone_range_for_cell,
-                   disk_contains, normalize, spanner_parameters)
-from .decomposition import (VARIANT_RATIO, annulus_cell_count,
-                            build_quadforest, derive_decomposition,
-                            near_cell_count)
+from .core import (cell_of, cone_range_for_cell, disk_contains, normalize,
+                   spanner_parameters)
+from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
+                            annulus_cell_count, build_quadforest,
+                            derive_decomposition, near_cell_count)
 from .geom_query import DiskContainment
 from .oracle import materialize
 
@@ -40,6 +40,8 @@ class BaseOracle:
         ncomp, labels = connected_components(graph.csr, directed=True,
                                              connection="strong")
         self.comp = labels
+        # Python ints: the bitsets below shift by component labels
+        labels = labels.tolist()
         succ = [set() for _ in range(ncomp)]
         indeg = [0] * ncomp
         for u in range(self.n):
@@ -73,10 +75,6 @@ class BaseOracle:
         return bool((self._bits[cs] >> cq) & 1)
 
 
-def build_base_oracle(sites):
-    return BaseOracle(sites)
-
-
 @dataclass
 class CoverSet:
     """Constant-size site set covering a query point: every disk that
@@ -99,7 +97,7 @@ class GeomOracle:
         self.sites = list(sites)
         self.params = spanner_parameters(t)
         self.base = base if base is not None else BaseOracle(sites)
-        norm, scale, offset = normalize(sites, MODE_SMALLEST_RADIUS,
+        norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_RATIO],
                                         self.params.c)
         self.norm = norm
         self.scale = scale
@@ -116,10 +114,6 @@ class GeomOracle:
     @property
     def stored_site_refs(self):
         return sum(len(v.sites) for v in self.decomp.nodes)
-
-
-def build_geom_oracle(sites, base=None, t=2.0):
-    return GeomOracle(sites, base, t)
 
 
 def cover_set_bound(params):

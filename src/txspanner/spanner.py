@@ -1,11 +1,12 @@
 """Spanner construction for directed transmission graphs.
 
 Three builders share one selection framework: bounded spread (quadtree),
-bounded radius ratio (quadforest plus clique spanners for nearby level-0
-cells) and the general case (augmented compressed quadtree driven by a
-dynamic nearest-neighbor structure). Edge selection against a cell of
-candidate disks runs either over the lower envelope of the disk caps
-below a separating line or by direct containment tests for tiny inputs.
+bounded radius ratio (quadforest plus one Yao graph of the disk graph
+UDG(r_min) for nearby sites) and the general case (augmented compressed
+quadtree driven by a dynamic nearest-neighbor structure). Edge selection
+against a cell of candidate disks runs either over the lower envelope of
+the disk caps below a separating line or by direct containment tests for
+tiny inputs.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ import math
 
 import numpy as np
 
-from .core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                   MODE_SMALLEST_RADIUS, Site, SpannerParams, cell_of,
-                   disk_contains, normalize, params_satisfy,
-                   spanner_parameters)
-from .decomposition import (VARIANT_GENERAL, VARIANT_RATIO, VARIANT_SPREAD,
-                            annulus_cell_count, augment_with_wspd,
-                            build_compressed_quadtree, build_quadforest,
-                            build_quadtree, compute_wspd, cone_assignments,
-                            derive_decomposition, forest_depth,
-                            near_cell_count, partition_components,
-                            radius_ratio)
+from scipy.spatial import cKDTree
+
+from .core import (EPS, Site, SpannerParams, cell_of, disk_contains,
+                   normalize, params_satisfy, spanner_parameters)
+from .decomposition import (NORMALIZE_MODE, VARIANT_GENERAL, VARIANT_RATIO,
+                            VARIANT_SPREAD, annulus_cell_count,
+                            augment_with_wspd, build_compressed_quadtree,
+                            build_quadforest, build_quadtree, compute_wspd,
+                            cone_assignments, derive_decomposition,
+                            forest_depth, partition_components, radius_ratio)
 
 INF = math.inf
 
@@ -359,7 +359,7 @@ def _decomposition_edges(sites, decomp):
     A fresh activity bitmap is used per cone; a site is deactivated for
     the rest of a cone once it has an incoming edge in that cone.
     """
-    rows = cone_assignments(decomp, prune=True)
+    rows = cone_assignments(decomp)
     edges = {}
     if len(rows) == 0:
         return edges
@@ -387,7 +387,7 @@ def _decomposition_edges(sites, decomp):
 
 
 # ---------------------------------------------------------------------------
-# Euclidean clique spanners
+# Yao graph of a disk graph
 
 def yao_cone_count(t):
     """Smallest cone count whose Yao-graph stretch bound is at most t."""
@@ -402,40 +402,33 @@ def yao_cone_count(t):
         k += 1
 
 
-def euclidean_spanner(points, t):
-    """Yao graph on the point list: per point, one nearest neighbor per cone.
+def euclidean_spanner(xy, t, radius):
+    """Yao graph of the disk graph UDG(radius) over the points `xy`.
 
-    Returns undirected index pairs (i, j) with i < j; the undirected
-    stretch is at most t.
+    xy is an (n, 2) array. Every pair within distance `radius` is a
+    candidate; each point keeps, per cone of yao_cone_count(t), its
+    nearest candidate (ties to the smaller index). Returns the undirected
+    index pairs (i, j), i < j, as a sorted (m, 2) int64 array with
+    m <= yao_cone_count(t) * n. Every pair within `radius` is joined by a
+    path of these edges at most t times its length.
     """
     k = yao_cone_count(t)
-    n = len(points)
-    if n < 2:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    px = np.array([p[0] for p in points], dtype=np.float64)
-    py = np.array([p[1] for p in points], dtype=np.float64)
-    theta = 2.0 * math.pi / k
-    edges = set()
-    idx = np.arange(n)
-    for i in range(n):
-        dx = px - px[i]
-        dy = py - py[i]
-        d2 = dx * dx + dy * dy
-        d2[i] = INF
-        ang = np.arctan2(dy, dx) % (2.0 * math.pi)
-        bucket = np.minimum((ang / theta).astype(np.int64), k - 1)
-        bucket[i] = k  # sentinel, sorts last
-        order = np.lexsort((idx, d2, bucket))
-        b_sorted = bucket[order]
-        _, first = np.unique(b_sorted, return_index=True)
-        for pos in first:
-            j = int(order[pos])
-            if b_sorted[pos] == k:
-                continue
-            edges.add((min(i, j), max(i, j)))
-    return sorted(edges)
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    pairs = cKDTree(xy).query_pairs(radius, output_type="ndarray")
+    if len(pairs) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    src = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    d = xy[dst] - xy[src]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    ang = np.arctan2(d[:, 1], d[:, 0]) % (2.0 * math.pi)
+    cone = np.minimum((ang / (2.0 * math.pi / k)).astype(np.int64), k - 1)
+    order = np.lexsort((dst, d2, cone, src))
+    key = src[order] * k + cone[order]
+    first = order[np.concatenate(([True], key[1:] != key[:-1]))]
+    kept = np.stack((np.minimum(src[first], dst[first]),
+                     np.maximum(src[first], dst[first])), axis=1)
+    return np.unique(kept, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +459,8 @@ def build_spanner_spread(sites, t, params=None):
     n = len(sites)
     if n <= 1:
         return SpannerGraph(n, [], t, params, VARIANT_SPREAD)
-    norm, scale, offset = normalize(sites, MODE_CLOSEST_PAIR_C, params.c)
+    norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_SPREAD],
+                                    params.c)
     root = build_quadtree(norm, params)
     decomp = derive_decomposition(root, params, VARIANT_SPREAD, norm,
                                   materialize_neighbors=False)
@@ -474,45 +468,21 @@ def build_spanner_spread(sites, t, params=None):
     return _finish(sites, n, edge_cones, t, params, VARIANT_SPREAD, scale, offset)
 
 
-def _close_level0_pairs(decomp):
-    """Unordered pairs of level-0 nodes (including a node with itself)
-    whose cells are closer than (c - 2) diameters."""
-    c = decomp.params.c
-    lim2 = 2 * (c - 2) * (c - 2)
-    level0 = decomp.by_level.get(0, {})
-    nodes = list(level0.values())
-    span = int(math.ceil((c - 2) * math.sqrt(2.0))) + 2
-    buckets = {}
-    for v in nodes:
-        buckets.setdefault((v.cell.ix // span, v.cell.iy // span), []).append(v)
-    pairs = []
-    for (bx, by), members in buckets.items():
-        for v in members:
-            pairs.append((v, v))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = buckets.get((bx + dx, by + dy))
-                if other is None:
-                    continue
-                for v in members:
-                    for w in other:
-                        if v.id >= w.id:
-                            continue
-                        gx = max(0, abs(v.cell.ix - w.cell.ix) - 1)
-                        gy = max(0, abs(v.cell.iy - w.cell.iy) - 1)
-                        if gx * gx + gy * gy < lim2:
-                            pairs.append((v, w))
-    return pairs
-
-
 def build_spanner_radius_ratio(sites, t, params=None):
-    """t-spanner via quadforests per far-apart component, plus doubled
-    Euclidean spanners for pairs of nearby level-0 cells."""
+    """t-spanner via quadforests per far-apart component, plus the doubled
+    Yao graph of the disk graph UDG(r_min) for nearby sites.
+
+    After normalization every radius is at least r_min = c, and sites in
+    level-0 cells closer than (c - 2) diameters are less than c apart, so
+    the pairs the partial decomposition skips are two-way edges of
+    UDG(r_min), whose Yao graph joins them with stretch at most t.
+    """
     params = _resolve_params(t, params)
     n = len(sites)
     if n <= 1:
         return SpannerGraph(n, [], t, params, VARIANT_RATIO)
-    norm, scale, offset = normalize(sites, MODE_SMALLEST_RADIUS, params.c)
+    norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_RATIO],
+                                    params.c)
     depth = forest_depth(radius_ratio(norm))
     comps = partition_components(norm, params)
     edge_cones = {}
@@ -526,22 +496,22 @@ def build_spanner_radius_ratio(sites, t, params=None):
                                       materialize_neighbors=False)
         for (u, v), cones in _decomposition_edges(sub, decomp).items():
             edge_cones.setdefault((comp[u], comp[v]), []).extend(cones)
-        for a, b in _close_level0_pairs(decomp):
-            ids = list(a.sites) + (list(b.sites) if b is not a else [])
-            if len(ids) < 2:
-                continue
-            pts = [(sub[i].x, sub[i].y) for i in ids]
-            for ii, jj in euclidean_spanner(pts, t):
-                u, w = comp[ids[ii]], comp[ids[jj]]
-                for src, dst in ((u, w), (w, u)):
-                    if not disk_contains(norm[src], norm[dst].x, norm[dst].y):
-                        raise AssertionError(
-                            f"clique edge {src}->{dst} is not a transmission edge")
-                    edge_cones.setdefault((src, dst), [])
+    xy = np.array([(s.x, s.y) for s in norm], dtype=np.float64)
+    rad = np.array([s.radius for s in norm], dtype=np.float64)
+    pairs = euclidean_spanner(xy, t, rad.min())
+    d = xy[pairs[:, 0]] - xy[pairs[:, 1]]
+    reach = np.minimum(rad[pairs[:, 0]], rad[pairs[:, 1]]) + EPS
+    bad = np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] > reach * reach)
+    if len(bad):
+        u, w = pairs[bad[0]].tolist()
+        raise AssertionError(f"Yao edge {u}-{w} is not a two-way transmission edge")
+    for u, w in pairs.tolist():
+        edge_cones.setdefault((u, w), [])
+        edge_cones.setdefault((w, u), [])
     return _finish(sites, n, edge_cones, t, params, VARIANT_RATIO, scale, offset)
 
 
-def build_spanner_general(sites, t, params=None, nn_factory=None):
+def build_spanner_general(sites, t, params=None):
     """t-spanner for arbitrary spread and radius ratio: augmented compressed
     quadtree, edges selected by repeated nearest-active-site queries."""
     from .geom_query import DynamicNN
@@ -550,15 +520,14 @@ def build_spanner_general(sites, t, params=None, nn_factory=None):
     n = len(sites)
     if n <= 1:
         return SpannerGraph(n, [], t, params, VARIANT_GENERAL)
-    norm, scale, offset = normalize(sites, MODE_CLOSEST_PAIR_C2, params.c)
+    norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_GENERAL],
+                                    params.c)
     root = build_compressed_quadtree(norm, params)
     wspd = compute_wspd(root, params.c)
     root = augment_with_wspd(root, wspd, params, norm)
     decomp = derive_decomposition(root, params, VARIANT_GENERAL, norm,
                                   materialize_neighbors=False)
-    rows = cone_assignments(decomp, prune=True)
-    if nn_factory is None:
-        nn_factory = lambda: DynamicNN(cell_size=float(params.c))
+    rows = cone_assignments(decomp)
 
     taus_of = {}
     cones_used = set()
@@ -574,7 +543,7 @@ def build_spanner_general(sites, t, params=None, nn_factory=None):
         for v in node_order:
             kids = children_of[v.id]
             if not kids:
-                S = nn_factory()
+                S = DynamicNN(cell_size=float(params.c))
                 for i in v.sites:
                     S.insert(i, norm[i].x, norm[i].y)
             else:
@@ -624,10 +593,10 @@ BUILDERS = {
 
 def sparsity_bound(params):
     """Explicit constant B with |edges| <= B * n for every construction:
-    one edge per cone and neighbor cell, plus doubled Yao-graph degrees
-    for cells handled by clique spanners."""
+    one edge per cone and neighbor cell, plus the doubled Yao graph of
+    UDG(r_min) (at most yao_cone_count(t) undirected pairs per site)."""
     return (params.k * annulus_cell_count(params.c)
-            + 2 * yao_cone_count(params.t) * near_cell_count(params.c))
+            + 2 * yao_cone_count(params.t))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +608,8 @@ def verify_shorter_edge(sites, H, params=None):
     For every transmission edge pq missing from H there must be an edge
     rq in H with |pr| <= |pq| - |rq|/t (within tolerance). For the
     radius-ratio variant the check skips edges whose level-0 cells are
-    closer than (c - 2) diameters; those are covered by clique spanners.
+    closer than (c - 2) diameters; those are covered by the Yao graph of
+    UDG(r_min).
     Returns the list of violating (p, q) pairs.
     """
     from .oracle import materialize

@@ -4,34 +4,13 @@ import math
 import random
 
 from txspanner.cli import generate_sites
-from txspanner.core import (MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                            MODE_SMALLEST_RADIUS, make_sites, normalize)
-from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
-                                     VARIANT_SPREAD, augment_with_wspd,
-                                     build_compressed_quadtree,
-                                     build_quadforest, build_quadtree,
-                                     compute_wspd)
-
-NORMALIZE_MODE = {
-    VARIANT_SPREAD: MODE_CLOSEST_PAIR_C,
-    VARIANT_RATIO: MODE_SMALLEST_RADIUS,
-    VARIANT_GENERAL: MODE_CLOSEST_PAIR_C2,
-}
+from txspanner.core import make_sites, normalize
+from txspanner.decomposition import NORMALIZE_MODE
 
 
 def normalized_for(sites, params, variant):
     """Sites rescaled the way the given construction variant expects."""
     return normalize(sites, NORMALIZE_MODE[variant], params.c)
-
-
-def structure_for(norm, params, variant):
-    """The cell hierarchy the given variant derives its decomposition from."""
-    if variant == VARIANT_SPREAD:
-        return build_quadtree(norm, params)
-    if variant == VARIANT_RATIO:
-        return build_quadforest(norm, params)
-    root = build_compressed_quadtree(norm, params)
-    return augment_with_wspd(root, compute_wspd(root, params.c), params, norm)
 
 
 def random_instance(n, model="uniform", seed=0, psi_cap=8.0):

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import normalized_for, structure_for
+from conftest import normalized_for
 from txspanner.bfs import bfs_tree
 from txspanner.cli import generate_sites
 from txspanner.core import (MODE_CLOSEST_PAIR_C2, MODE_SMALLEST_RADIUS, Site,
@@ -33,12 +33,12 @@ from txspanner.core import (MODE_CLOSEST_PAIR_C2, MODE_SMALLEST_RADIUS, Site,
 from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      VARIANT_SPREAD,
                                      build_compressed_quadtree,
+                                     build_hierarchy,
                                      check_decomposition, compute_wspd,
                                      derive_decomposition,
                                      partition_components)
 from txspanner.oracle import audit_stretch, bfs_oracle, materialize
-from txspanner.reachability import (build_geom_oracle, cover_set,
-                                    cover_set_bound)
+from txspanner.reachability import GeomOracle, cover_set, cover_set_bound
 from txspanner.spanner import (BUILDERS, select_edges_bruteforce,
                                select_edges_envelope, sparsity_bound,
                                verify_shorter_edge)
@@ -115,7 +115,7 @@ def test_criterion_03_decomposition_soundness():
                 sites = generate_sites(200, "uniform-square", model, seed,
                                        _psi_cap(model))
                 norm, _, _ = normalized_for(sites, params, variant)
-                structure = structure_for(norm, params, variant)
+                structure = build_hierarchy(norm, params, variant)
                 decomp = derive_decomposition(structure, params, variant, norm)
                 bad_i, bad_ii = check_decomposition(decomp, norm,
                                                     materialize(norm))
@@ -267,7 +267,7 @@ def test_criterion_08_geometric_reachability():
     queries = 0
     for n, seed in ((100, 801), (300, 802), (400, 803)):
         sites = generate_sites(n, "uniform-square", "pareto", seed, 16.0)
-        oracle = build_geom_oracle(sites)
+        oracle = GeomOracle(sites)
         bound = cover_set_bound(oracle.params)
         for _ in range(1000):
             s = rng.randrange(n)

@@ -92,6 +92,17 @@ def test_missing_input_file(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("line", ["nan 0 1", "0 0 inf"])
+def test_build_rejects_non_finite_site(tmp_path, capsys, line):
+    sites = tmp_path / "sites.txt"
+    sites.write_text(f"0 0 1\n{line}\n")
+    rc = main(["build", str(sites), "--t", "2", "--variant", "ratio",
+               "--out", str(tmp_path / "h.txt")])
+    assert rc == 2
+    assert f"{sites}:2: site 1: coordinates and radius must be finite" \
+        in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # queries
 
@@ -116,6 +127,16 @@ def test_bfs_subcommand_bad_root(tmp_path):
     out = tmp_path / "h.txt"
     assert main(["build", str(sites), "--t", "2", "--out", str(out)]) == 0
     assert main(["bfs", str(sites), str(out), "--root", "99"]) == 2
+
+
+def test_reach_subcommand_many_components(tmp_path, capsys):
+    path = tmp_path / "sites.txt"
+    path.write_text("".join(f"{10 * i} 0 1\n" for i in range(30))
+                    + "5000 0 1\n5000.5 0 0.3\n")
+    rc = main(["reach", str(path), "--source", "30",
+               "--target-x", "5000.5", "--target-y", "0"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "true"
 
 
 def test_reach_subcommand(tmp_path, capsys):

@@ -26,6 +26,13 @@ def test_site_rejects_nonpositive_radius():
         Site(0, 0.0, 0.0, -1.0)
 
 
+def test_site_rejects_non_finite():
+    with pytest.raises(ValueError):
+        make_sites([(0.0, 0.0, 1.0), (math.nan, 0.0, 1.0)])
+    with pytest.raises(ValueError):
+        make_sites([(0.0, 0.0, 1.0), (1.0, 0.0, math.inf)])
+
+
 def test_site_file_roundtrip(tmp_path):
     sites = make_sites([(0.25, -1.5, 2.0), (3.0, 4.0, 0.125)])
     path = tmp_path / "sites.txt"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import normalized_for, random_instance, structure_for
+from conftest import normalized_for, random_instance
 from txspanner.core import (MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
                             MODE_SMALLEST_RADIUS, SQRT2, cell_distance,
                             cell_of, make_sites, normalize,
@@ -14,7 +14,8 @@ from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      VARIANT_SPREAD, annulus_cell_count,
                                      augment_with_wspd,
                                      build_compressed_quadtree,
-                                     build_quadforest, build_quadtree,
+                                     build_hierarchy, build_quadforest,
+                                     build_quadtree,
                                      check_decomposition, collect_nodes,
                                      compute_wspd, decomposition_dump,
                                      derive_decomposition, forest_depth,
@@ -260,7 +261,7 @@ def test_augment_node_budget():
 def test_decomposition_sound(variant, model):
     sites = random_instance(100, model=model, seed=53)
     norm, _, _ = normalized_for(sites, PARAMS, variant)
-    structure = structure_for(norm, PARAMS, variant)
+    structure = build_hierarchy(norm, PARAMS, variant)
     decomp = derive_decomposition(structure, PARAMS, variant, norm)
     bad_i, bad_ii = check_decomposition(decomp, norm, materialize(norm))
     assert bad_i == []
@@ -270,7 +271,7 @@ def test_decomposition_sound(variant, model):
 def test_neighborhood_size_bound():
     sites = random_instance(200, model="uniform", seed=54)
     norm, _, _ = normalized_for(sites, PARAMS, VARIANT_SPREAD)
-    decomp = derive_decomposition(structure_for(norm, PARAMS, VARIANT_SPREAD),
+    decomp = derive_decomposition(build_hierarchy(norm, PARAMS, VARIANT_SPREAD),
                                   PARAMS, VARIANT_SPREAD, norm)
     bound = annulus_cell_count(PARAMS.c)
     assert all(len(ns) <= bound for ns in decomp.neighbors.values())
@@ -280,7 +281,7 @@ def test_each_site_in_at_most_two_assigned_sets():
     sites = random_instance(200, model="pareto", seed=55, psi_cap=16.0)
     for variant in (VARIANT_SPREAD, VARIANT_RATIO):
         norm, _, _ = normalized_for(sites, PARAMS, variant)
-        decomp = derive_decomposition(structure_for(norm, PARAMS, variant),
+        decomp = derive_decomposition(build_hierarchy(norm, PARAMS, variant),
                                       PARAMS, variant, norm)
         counts = [0] * len(norm)
         for v in decomp.nodes:
@@ -292,7 +293,7 @@ def test_each_site_in_at_most_two_assigned_sets():
 def test_representative_has_max_radius():
     sites = random_instance(150, model="pareto", seed=56)
     norm, _, _ = normalized_for(sites, PARAMS, VARIANT_RATIO)
-    decomp = derive_decomposition(structure_for(norm, PARAMS, VARIANT_RATIO),
+    decomp = derive_decomposition(build_hierarchy(norm, PARAMS, VARIANT_RATIO),
                                   PARAMS, VARIANT_RATIO, norm)
     for v in decomp.nodes:
         assert v.m in v.sites
@@ -322,7 +323,7 @@ def test_cell_count_formulas_match_bruteforce():
 def test_dump_format():
     sites = random_instance(40, model="constant", seed=57)
     norm, _, _ = normalized_for(sites, PARAMS, VARIANT_RATIO)
-    decomp = derive_decomposition(structure_for(norm, PARAMS, VARIANT_RATIO),
+    decomp = derive_decomposition(build_hierarchy(norm, PARAMS, VARIANT_RATIO),
                                   PARAMS, VARIANT_RATIO, norm)
     lines = decomposition_dump(decomp).splitlines()
     assert len(lines) == len(decomp.nodes)

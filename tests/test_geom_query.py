@@ -6,8 +6,7 @@ import pytest
 
 from conftest import random_sites
 from txspanner.core import disk_contains
-from txspanner.geom_query import (DiskContainment, DynamicNN,
-                                  build_disk_containment, dc_query)
+from txspanner.geom_query import DiskContainment, DynamicNN
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +91,6 @@ def test_dc_point_outside_all_disks():
 def test_dc_empty_structure():
     pd = DiskContainment([])
     assert pd.query(0.0, 0.0) is None
-
-
-def test_dc_wrappers():
-    sites = random_sites(10, seed=24)
-    pd = build_disk_containment(sites)
-    assert isinstance(pd, DiskContainment)
-    s = dc_query(pd, sites[3].x, sites[3].y)
-    assert s is not None and disk_contains(s, sites[3].x, sites[3].y)
 
 
 def test_dc_random_queries_match_linear_scan():

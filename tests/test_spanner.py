@@ -114,6 +114,18 @@ def test_ratio_single_cell_clique():
     assert audit_stretch(sites, H, 2.0).ok
 
 
+def test_ratio_dense_constant_radius():
+    # radii x4 put ~50 sites in each disk; the pairs closer than r_min are
+    # joined by one doubled Yao graph, not by cliques per cell pair
+    sites = make_sites([(s.x, s.y, 4.0 * s.radius)
+                        for s in random_instance(300, model="constant",
+                                                 seed=75)])
+    H = build_spanner_radius_ratio(sites, 2.0)
+    assert audit_stretch(sites, H, 2.0).ok
+    yao = sum(1 for cones in H.edge_cones.values() if not cones)
+    assert yao <= 2 * yao_cone_count(2.0) * H.n
+
+
 def test_ratio_components_never_connected():
     r = 1.0
     far = 1000.0
@@ -166,12 +178,14 @@ def test_forced_envelope_path_matches(monkeypatch):
 # Euclidean spanner
 
 def test_euclidean_two_points():
-    assert euclidean_spanner([(0.0, 0.0), (1.0, 1.0)], 2.0) == [(0, 1)]
+    assert euclidean_spanner([(0.0, 0.0), (1.0, 1.0)], 2.0,
+                             math.inf).tolist() == [[0, 1]]
+    assert len(euclidean_spanner([(0.0, 0.0), (1.0, 1.0)], 2.0, 1.0)) == 0
 
 
 def test_euclidean_collinear_path_stretch_one():
     pts = [(float(i), 0.0) for i in range(10)]
-    edges = euclidean_spanner(pts, 2.0)
+    edges = euclidean_spanner(pts, 2.0, math.inf).tolist()
     adj = {i: [] for i in range(10)}
     for a, b in edges:
         adj[a].append(b)
@@ -186,23 +200,27 @@ def test_euclidean_stretch_vs_complete_graph():
 
     rng = random.Random(71)
     pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(200)]
-    edges = euclidean_spanner(pts, 2.0)
+    pts += pts[:3]  # coincident points
     n = len(pts)
-    rows, cols, vals = [], [], []
-    for a, b in edges:
-        w = math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1])
-        rows += [a, b]
-        cols += [b, a]
-        vals += [w, w]
-    d = dijkstra_all(csr_matrix((vals, (rows, cols)), shape=(n, n)))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            direct = math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-            assert d[i][j] <= 2.0 * direct * (1 + 1e-9)
     assert yao_cone_count(2.0) >= 9
-    assert len(edges) <= yao_cone_count(2.0) * n
+    for radius in (math.inf, 1.5):
+        edges = euclidean_spanner(pts, 2.0, radius).tolist()
+        assert len(edges) <= yao_cone_count(2.0) * n
+        rows, cols, vals = [], [], []
+        for a, b in edges:
+            assert a < b
+            w = math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1])
+            assert w <= radius
+            rows += [a, b]
+            cols += [b, a]
+            vals += [max(w, 1e-300), max(w, 1e-300)]
+        d = dijkstra_all(csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        for i in range(n):
+            for j in range(n):
+                direct = math.hypot(pts[i][0] - pts[j][0],
+                                    pts[i][1] - pts[j][1])
+                if i != j and direct <= radius:
+                    assert d[i][j] <= 2.0 * direct * (1 + 1e-9) + 1e-12
 
 
 # ---------------------------------------------------------------------------
