@@ -313,6 +313,10 @@ MODE_CLOSEST_PAIR_C = "closest-pair=c"
 MODE_CLOSEST_PAIR_C2 = "closest-pair=c+2"
 MODE_SMALLEST_RADIUS = "smallest-radius=c"
 
+# past this normalized extent float64 spacing is at least 1, coarser than
+# the level-0 cell side 1/sqrt(2), so cells can no longer be told apart
+MAX_NORMALIZED_EXTENT = 2.0 ** 52
+
 
 def normalize(sites, mode, c):
     """Scale and translate sites for one of the three constructions.
@@ -321,7 +325,8 @@ def normalize(sites, mode, c):
     smallest radius rescaled to c. Returns (sites', scale, offset) with
     x' = scale * x + offset[0] and y' = scale * y + offset[1]; radii are
     multiplied by scale, so the transmission graph is unchanged. The
-    translation puts the bounding-box corner at the origin.
+    translation puts the bounding-box corner at the origin. Raises
+    ValueError when the normalized extent reaches 2^52.
     """
     if mode in (MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2):
         if len(sites) < 2:
@@ -337,6 +342,12 @@ def normalize(sites, mode, c):
         raise ValueError(f"unknown normalization mode {mode!r}")
     ox = -min(s.x for s in sites) * scale
     oy = -min(s.y for s in sites) * scale
+    extent = max(max(s.x for s in sites) * scale + ox,
+                 max(s.y for s in sites) * scale + oy)
+    if not extent < MAX_NORMALIZED_EXTENT:
+        raise ValueError(f"coordinate range too large: normalized extent "
+                         f"{extent:.3g} reaches 2^52, beyond float64 "
+                         f"resolution of the level-0 grid")
     out = [Site(s.id, s.x * scale + ox, s.y * scale + oy, s.radius * scale)
            for s in sites]
     return out, scale, (ox, oy)

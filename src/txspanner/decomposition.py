@@ -42,7 +42,7 @@ class QuadNode:
     """
 
     __slots__ = ("id", "cell", "children", "parent", "sites", "m",
-                 "max_radius", "R", "sorted_x", "sorted_y", "point_cell")
+                 "max_radius", "R", "point_cell")
 
     def __init__(self, cell, sites):
         self.id = -1
@@ -53,8 +53,6 @@ class QuadNode:
         self.m = None
         self.max_radius = 0.0
         self.R = []
-        self.sorted_x = None
-        self.sorted_y = None
         self.point_cell = None
 
     @property
@@ -107,26 +105,6 @@ def _root_level(sites):
     return level
 
 
-def _attach_sorted_lists(nodes, sites):
-    """Per-node site ids sorted by x and by y, merged bottom-up."""
-    xs = [s.x for s in sites]
-    ys = [s.y for s in sites]
-    for v in sorted(nodes, key=lambda v: v.cell.level):
-        if v.is_leaf():
-            v.sorted_x = sorted(v.sites, key=lambda i: (xs[i], i))
-            v.sorted_y = sorted(v.sites, key=lambda i: (ys[i], i))
-        else:
-            sx = []
-            sy = []
-            for w in v.children:
-                sx.extend(w.sorted_x)
-                sy.extend(w.sorted_y)
-            sx.sort(key=lambda i: (xs[i], i))
-            sy.sort(key=lambda i: (ys[i], i))
-            v.sorted_x = sx
-            v.sorted_y = sy
-
-
 def _subdivide(node, sites, stop_level):
     """Split non-empty cells level by level down to stop_level."""
     stack = [node]
@@ -160,11 +138,9 @@ def build_quadtree(sites, params):
     L = _root_level(sites)
     root = QuadNode(GridCell(L, 0, 0), list(range(len(sites))))
     _subdivide(root, sites, 0)
-    nodes = collect_nodes(root)
-    for v in nodes:
+    for v in collect_nodes(root):
         if v.cell.level == 0 and len(v.sites) > 1:
             raise AssertionError("level-0 cell with more than one site; input not normalized")
-    _attach_sorted_lists(nodes, sites)
     return root
 
 
@@ -202,8 +178,7 @@ def build_quadforest(sites, params, depth=None):
         root = QuadNode(GridCell(L, ix, iy), idxs)
         _subdivide(root, sites, 0)
         roots.append(root)
-    nodes = collect_nodes(roots)
-    _attach_sorted_lists(nodes, sites)
+    collect_nodes(roots)
     return roots
 
 
@@ -453,27 +428,19 @@ class AnnulusDecomposition:
         self.params = params
         self.variant = variant
         self.partial = variant == VARIANT_RATIO
-        self.by_level = {}
+        by_level = {}
         for v in nodes:
-            self.by_level.setdefault(v.cell.level, {})[(v.cell.ix, v.cell.iy)] = v
+            by_level.setdefault(v.cell.level, []).append(v)
         self.level_arrays = {
             lvl: (
-                np.array([v.id for v in d.values()], dtype=np.int64),
-                np.array([v.cell.ix for v in d.values()], dtype=np.int64),
-                np.array([v.cell.iy for v in d.values()], dtype=np.int64),
-                np.array([v.max_radius for v in d.values()], dtype=np.float64),
+                np.array([v.id for v in vs], dtype=np.int64),
+                np.array([v.cell.ix for v in vs], dtype=np.int64),
+                np.array([v.cell.iy for v in vs], dtype=np.int64),
+                np.array([v.max_radius for v in vs], dtype=np.float64),
             )
-            for lvl, d in self.by_level.items()
+            for lvl, vs in by_level.items()
         }
         self.neighbors = None
-
-    @property
-    def r_lower_bound(self):
-        return self.params.c - 2 if self.variant == VARIANT_GENERAL else self.params.c
-
-    def node_at(self, level, ix, iy):
-        d = self.by_level.get(level)
-        return None if d is None else d.get((ix, iy))
 
 
 def _populate_assignments(nodes, sites, params, variant):

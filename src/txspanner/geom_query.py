@@ -4,7 +4,8 @@ Both are baseline implementations behind small interfaces, so faster
 structures can replace them without touching callers. Correctness, not
 asymptotics, is the contract: answers must match a linear scan exactly
 (nearest-neighbor ties broken by smallest id, containment decided by the
-shared disk predicate).
+shared disk predicate). DiskContainment serves the geometric
+reachability oracle; no spanner builder uses DynamicNN any more.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ class DynamicNN:
 
     Grid buckets with an outward ring search; small sets fall back to a
     linear scan. Ids are arbitrary hashable keys (site indices here).
+    No builder uses it: the general construction selects its edges with
+    the shared containment sweep. It stays because the benchmark's trace
+    mode wraps its methods by name.
     """
 
     def __init__(self, cell_size=1.0):

@@ -9,13 +9,14 @@ so s reaches t exactly when it reaches some member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import (cell_of, cone_range_for_cell, disk_contains, normalize,
-                   spanner_parameters)
+from .core import (EPS, cell_of, cone_range_for_cell, disk_contains,
+                   normalize, spanner_parameters)
 from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
                             annulus_cell_count, build_quadforest,
                             derive_decomposition, near_cell_count)
@@ -110,6 +111,15 @@ class GeomOracle:
         self.pd = {v.id: DiskContainment([self.sites[i] for i in v.sites])
                    for v in self.decomp.nodes}
         self.depth = max(v.cell.level for v in self.decomp.nodes)
+        # bounding box of all disks, padded past the containment tolerance
+        # and float rounding, so points outside it lie in no disk
+        box = (min(s.x - s.radius for s in sites),
+               min(s.y - s.radius for s in sites),
+               max(s.x + s.radius for s in sites),
+               max(s.y + s.radius for s in sites))
+        pad = EPS + 1e-9 * max(abs(b) for b in box)
+        self.disk_box = (box[0] - pad, box[1] - pad, box[2] + pad,
+                         box[3] + pad)
 
     @property
     def stored_site_refs(self):
@@ -127,11 +137,17 @@ def cover_set(oracle, point):
     Phase 1 queries every nonempty level-0 cell within gap (c-2) of the
     point's cell. Phase 2, per cone, climbs the levels and queries the
     annulus cells inside the doubled cone, stopping the cone at the first
-    level that contributes a site.
+    level that contributes a site. A point outside the bounding box of all
+    disks gets an empty cover; a non-finite point raises ValueError.
     """
     c = oracle.params.c
     k = oracle.params.k
     x, y = point
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"query point must be finite, got ({x}, {y})")
+    x0, y0, x1, y1 = oracle.disk_box
+    if not (x0 <= x <= x1 and y0 <= y <= y1):
+        return CoverSet([])
     tx = x * oracle.scale + oracle.offset[0]
     ty = y * oracle.scale + oracle.offset[1]
     lo2 = 2 * (c - 2) * (c - 2)

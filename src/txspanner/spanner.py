@@ -1,12 +1,12 @@
 """Spanner construction for directed transmission graphs.
 
-Three builders share one selection framework: bounded spread (quadtree),
-bounded radius ratio (quadforest plus one Yao graph of the disk graph
-UDG(r_min) for nearby sites) and the general case (augmented compressed
-quadtree driven by a dynamic nearest-neighbor structure). Edge selection
-against a cell of candidate disks runs either over the lower envelope of
-the disk caps below a separating line or by direct containment tests for
-tiny inputs.
+Three builders share one selection sweep over their annulus
+decompositions: bounded spread (quadtree), bounded radius ratio
+(quadforest plus one Yao graph of the disk graph UDG(r_min) for nearby
+sites) and the general case (compressed quadtree augmented with the cells
+of a well-separated pair decomposition). Edge selection against a cell of
+candidate disks runs either over the lower envelope of the disk caps
+below a separating line or by direct containment tests for tiny inputs.
 """
 
 from __future__ import annotations
@@ -101,7 +101,14 @@ class SpannerGraph:
                 parts = line.split()
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{lineno}: expected 'src dst length'")
-                edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"{path}:{lineno}: endpoint outside "
+                                     f"[0, {n}) in edge {u} {v}")
+                if not (math.isfinite(w) and w >= 0):
+                    raise ValueError(f"{path}:{lineno}: edge length must be "
+                                     f"finite and non-negative, got {w}")
+                edges.append((u, v, w))
             if len(edges) != m:
                 raise ValueError(f"{path}: header says {m} edges, found {len(edges)}")
         params = SpannerParams(t=t, k=k, c=c) if k else None
@@ -309,10 +316,9 @@ def _select_for_node(sites, v, taus, active, edges, cone):
     Returns the target sites that received at least one edge; the caller
     deactivates them for the rest of the cone.
     """
-    qx = [i for i in v.sorted_x if active[i]]
-    if not qx:
+    q_ids = [i for i in v.sites if active[i]]
+    if not q_ids:
         return ()
-    qy = None
     covered = set()
     for tau in taus:
         disks_ids = list(tau.R)
@@ -320,10 +326,10 @@ def _select_for_node(sites, v, taus, active, edges, cone):
             disks_ids.append(tau.m)
         if not disks_ids:
             continue
-        if len(disks_ids) * len(qx) <= _BRUTE_LIMIT or len(disks_ids) < 3:
+        if len(disks_ids) * len(q_ids) <= _BRUTE_LIMIT or len(disks_ids) < 3:
             disks = [(sites[i].x, sites[i].y, (sites[i].radius + EPS) ** 2)
                      for i in disks_ids]
-            for q_id in qx:
+            for q_id in q_ids:
                 q = sites[q_id]
                 for pos, (dx_, dy_, rr) in enumerate(disks):
                     ddx = q.x - dx_
@@ -335,15 +341,9 @@ def _select_for_node(sites, v, taus, active, edges, cone):
                         covered.add(q_id)
                         break
         else:
-            line = _separating_line(v.cell, tau.cell)
-            if line[0] == "v":
-                if qy is None:
-                    qy = [i for i in v.sorted_y if active[i]]
-                q_ids = qy
-            else:
-                q_ids = qx
             sel = select_edges_envelope([sites[i] for i in q_ids],
-                                        [sites[i] for i in disks_ids], line)
+                                        [sites[i] for i in disks_ids],
+                                        _separating_line(v.cell, tau.cell))
             for r_id, q_id in sel:
                 cones = edges.setdefault((r_id, q_id), [])
                 if cone not in cones:
@@ -512,10 +512,8 @@ def build_spanner_radius_ratio(sites, t, params=None):
 
 
 def build_spanner_general(sites, t, params=None):
-    """t-spanner for arbitrary spread and radius ratio: augmented compressed
-    quadtree, edges selected by repeated nearest-active-site queries."""
-    from .geom_query import DynamicNN
-
+    """t-spanner for arbitrary spread and radius ratio via the compressed
+    quadtree augmented with the cells of a WSPD."""
     params = _resolve_params(t, params)
     n = len(sites)
     if n <= 1:
@@ -527,60 +525,7 @@ def build_spanner_general(sites, t, params=None):
     root = augment_with_wspd(root, wspd, params, norm)
     decomp = derive_decomposition(root, params, VARIANT_GENERAL, norm,
                                   materialize_neighbors=False)
-    rows = cone_assignments(decomp)
-
-    taus_of = {}
-    cones_used = set()
-    for cone, _, v_id, t_id in rows.tolist():
-        taus_of.setdefault((cone, v_id), []).append(t_id)
-        cones_used.add(cone)
-    node_order = sorted(decomp.nodes, key=lambda v: (v.cell.level, v.id))
-    children_of = {v.id: sorted(v.children, key=lambda w: w.id)
-                   for v in decomp.nodes}
-    edge_cones = {}
-    for cone in sorted(cones_used):
-        structs = {}
-        for v in node_order:
-            kids = children_of[v.id]
-            if not kids:
-                S = DynamicNN(cell_size=float(params.c))
-                for i in v.sites:
-                    S.insert(i, norm[i].x, norm[i].y)
-            else:
-                # merge smaller child structures into the largest one
-                best = max(kids, key=lambda w: (len(structs[w.id]), -w.id))
-                S = structs.pop(best.id)
-                for w in kids:
-                    if w.id == best.id:
-                        continue
-                    other = structs.pop(w.id)
-                    for i, (x, y) in other.items():
-                        S.insert(i, x, y)
-            got_edge = set()
-            for t_id in taus_of.get((cone, v.id), ()):
-                tau = decomp.nodes[t_id]
-                disks_ids = list(tau.R)
-                if tau.m is not None and tau.m not in tau.R:
-                    disks_ids.append(tau.m)
-                deleted = []
-                for r_id in disks_ids:
-                    r = norm[r_id]
-                    while True:
-                        q_id = S.nearest(r.x, r.y)
-                        if q_id is None or not disk_contains(r, norm[q_id].x,
-                                                             norm[q_id].y):
-                            break
-                        cones = edge_cones.setdefault((r_id, q_id), [])
-                        if cone not in cones:
-                            cones.append(cone)
-                        got_edge.add(q_id)
-                        S.delete(q_id)
-                        deleted.append(q_id)
-                for q_id in deleted:
-                    S.insert(q_id, norm[q_id].x, norm[q_id].y)
-            for q_id in got_edge:
-                S.delete(q_id)
-            structs[v.id] = S
+    edge_cones = _decomposition_edges(norm, decomp)
     return _finish(sites, n, edge_cones, t, params, VARIANT_GENERAL, scale, offset)
 
 

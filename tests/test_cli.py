@@ -103,6 +103,39 @@ def test_build_rejects_non_finite_site(tmp_path, capsys, line):
         in capsys.readouterr().err
 
 
+# two close sites plus four far ones whose normalized coordinates pass
+# 2^52, where float64 no longer resolves level-0 cells
+EXTREME_RANGE = ("0 0 1\n1 0 1\n1e18 0 300\n1000000000000000256 0 300\n"
+                 "1000000000000000512 0 300\n1000000000000000512 256 300\n")
+
+
+@pytest.mark.parametrize("variant", ["spread", "ratio", "general"])
+def test_build_rejects_extreme_coordinate_range(tmp_path, capsys, variant):
+    sites = tmp_path / "sites.txt"
+    sites.write_text(EXTREME_RANGE)
+    rc = main(["build", str(sites), "--t", "2", "--variant", variant,
+               "--out", str(tmp_path / "h.txt")])
+    assert rc == 2
+    assert "coordinate range too large" in capsys.readouterr().err
+
+
+def test_reach_rejects_extreme_coordinate_range(tmp_path, capsys):
+    sites = tmp_path / "sites.txt"
+    sites.write_text(EXTREME_RANGE)
+    rc = main(["reach", str(sites), "--source", "0",
+               "--target-x", "0", "--target-y", "0"])
+    assert rc == 2
+    assert "coordinate range too large" in capsys.readouterr().err
+
+
+def test_build_large_spread_still_builds(tmp_path):
+    sites = tmp_path / "sites.txt"
+    sites.write_text("0 0 1\n1 0 1\n1e12 0 1\n")
+    out = tmp_path / "h.txt"
+    assert main(["build", str(sites), "--t", "2", "--out", str(out)]) == 0
+    assert main(["verify", str(sites), str(out), "--variant", "spread"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # queries
 
@@ -156,6 +189,37 @@ def test_reach_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "false"
     assert main(["reach", str(sites_path), "--source", "-1",
                  "--target-x", "0", "--target-y", "0"]) == 2
+
+
+@pytest.mark.parametrize("bad_edge", ["-1 0 0.5", "0 20 0.5", "0 1 nan",
+                                      "0 1 inf", "0 1 -0.5"])
+def test_bfs_rejects_invalid_spanner_file(tmp_path, capsys, bad_edge):
+    sites = _gen(tmp_path, n=20)
+    spanner = tmp_path / "h.txt"
+    spanner.write_text(f"20 2 2.0 101 68\n0 1 0.1\n{bad_edge}\n")
+    capsys.readouterr()
+    assert main(["bfs", str(sites), str(spanner), "--root", "0"]) == 2
+    assert f"{spanner}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target_x", ["inf", "-inf", "nan"])
+def test_reach_rejects_non_finite_target(tmp_path, capsys, target_x):
+    sites = _gen(tmp_path, n=50)
+    capsys.readouterr()
+    rc = main(["reach", str(sites), "--source", "0",
+               f"--target-x={target_x}", "--target-y", "0.5"])
+    assert rc == 2
+    assert "query point must be finite" in capsys.readouterr().err
+
+
+def test_reach_far_target_is_false(tmp_path, capsys):
+    sites = _gen(tmp_path, n=50)
+    capsys.readouterr()
+    rc = main(["reach", str(sites), "--source", "0",
+               "--target-x", "1e18", "--target-y", "0.5", "--explain"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["cover set (0): ",
+                                                    "false"]
 
 
 # ---------------------------------------------------------------------------

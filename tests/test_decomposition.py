@@ -62,15 +62,6 @@ def test_quadtree_depth_bound():
     assert root.cell.level <= math.ceil(math.log2(PARAMS.c * spread)) + 2
 
 
-def test_quadtree_sorted_lists():
-    sites = random_instance(80, model="uniform", seed=43)
-    norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C, PARAMS.c)
-    for v in collect_nodes(build_quadtree(norm, PARAMS)):
-        assert sorted(v.sorted_x, key=lambda i: (norm[i].x, i)) == v.sorted_x
-        assert sorted(v.sorted_y, key=lambda i: (norm[i].y, i)) == v.sorted_y
-        assert sorted(v.sorted_x) == sorted(v.sites)
-
-
 def test_quadtree_rejects_unnormalized():
     sites = random_instance(30, model="constant", seed=44)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Site-to-site reachability oracle and its geometric point extension."""
 
+import math
 import random
 
 import pytest
@@ -144,6 +145,25 @@ def test_geom_reach_point_outside_everything():
     sites = random_instance(80, model="uniform", seed=102)
     oracle = GeomOracle(sites)
     assert not geom_reach(oracle, 0, (100.0, 100.0))
+
+
+@pytest.mark.parametrize("point", [(1e18, 0.5), (0.5, -1e18), (-1e300, 1e300),
+                                   (5.0, 0.5)])
+def test_geom_reach_far_target_matches_bruteforce(point):
+    sites = random_instance(50, model="uniform", seed=106)
+    oracle = GeomOracle(sites)
+    assert len(cover_set(oracle, point)) == 0
+    for s in (0, 25, 49):
+        assert geom_reach(oracle, s, point) is False
+        assert geom_reach_bruteforce(oracle, s, point) is False
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.inf),
+                                   (-math.inf, -math.inf)])
+def test_cover_set_rejects_non_finite_point(point):
+    oracle = GeomOracle(random_instance(30, model="uniform", seed=107))
+    with pytest.raises(ValueError, match="must be finite"):
+        cover_set(oracle, point)
 
 
 def test_geom_reach_explain_returns_cover():

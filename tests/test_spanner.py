@@ -163,15 +163,67 @@ def test_builders_reject_bad_stretch():
             BUILDERS[variant](sites, 1.0)
 
 
-def test_forced_envelope_path_matches(monkeypatch):
+def _clumped_instance(seed, n=120):
+    """n sites in 4 tight Gaussian clumps, radii within 1% of 0.4: deep
+    hierarchies whose neighbor cells offer 3 or more candidate disks."""
+    rng = random.Random(seed)
+    centers = [(rng.random(), rng.random()) for _ in range(4)]
+    return make_sites([(cx + rng.gauss(0.0, 0.002), cy + rng.gauss(0.0, 0.002),
+                        0.4 * (1.0 + 0.01 * rng.random()))
+                       for cx, cy in (centers[i % 4] for i in range(n))])
+
+
+def _counting_envelope(monkeypatch):
+    """Rebind the envelope selection to count its calls."""
     import txspanner.spanner as spanner_mod
-    sites = random_instance(120, model="uniform", seed=70)
-    baseline = build_spanner_spread(sites, 2.0)
-    monkeypatch.setattr(spanner_mod, "_BRUTE_LIMIT", 0)
-    forced = build_spanner_spread(sites, 2.0)
-    assert audit_stretch(sites, forced, 2.0).ok
-    # same targets covered per construction even if chosen sources differ
-    assert {v for _, v, _ in forced.edges} == {v for _, v, _ in baseline.edges}
+    calls = [0]
+    select = spanner_mod.select_edges_envelope
+
+    def counting(*args):
+        calls[0] += 1
+        return select(*args)
+
+    monkeypatch.setattr(spanner_mod, "select_edges_envelope", counting)
+    return calls
+
+
+def _target_cones(H):
+    return {(q, cone) for (_, q), cones in H.edge_cones.items()
+            for cone in cones}
+
+
+@pytest.mark.parametrize("variant", sorted(BUILDERS))
+def test_forced_envelope_path_matches(monkeypatch, variant):
+    import txspanner.spanner as spanner_mod
+    calls = _counting_envelope(monkeypatch)
+    envelope_calls = {}
+    for sites in (random_instance(120, model="uniform", seed=70),
+                  _clumped_instance(3), _clumped_instance(4)):
+        runs = []
+        # 0 forces the envelope wherever a cell has 3 or more disks; a huge
+        # limit runs the direct containment loop everywhere
+        for limit in (0, 10 ** 9):
+            monkeypatch.setattr(spanner_mod, "_BRUTE_LIMIT", limit)
+            before = calls[0]
+            H = BUILDERS[variant](sites, 2.0)
+            envelope_calls[limit] = envelope_calls.get(limit, 0) \
+                + calls[0] - before
+            assert audit_stretch(sites, H, 2.0).ok
+            assert verify_shorter_edge(sites, H) == []
+            runs.append(_target_cones(H))
+        # both paths cover the same targets per cone; sources may differ
+        assert runs[0] == runs[1]
+    assert envelope_calls[0] > 0
+    assert envelope_calls[10 ** 9] == 0
+
+
+def test_general_default_build_uses_envelope(monkeypatch):
+    calls = _counting_envelope(monkeypatch)
+    sites = _clumped_instance(3)
+    H = build_spanner_general(sites, 2.0)
+    assert calls[0] > 0
+    assert audit_stretch(sites, H, 2.0).ok
+    assert verify_shorter_edge(sites, H) == []
 
 
 # ---------------------------------------------------------------------------
