@@ -192,29 +192,30 @@ def _target_cones(H):
             for cone in cones}
 
 
-@pytest.mark.parametrize("variant", sorted(BUILDERS))
-def test_forced_envelope_path_matches(monkeypatch, variant):
+def test_forced_envelope_path_matches(monkeypatch):
     import txspanner.spanner as spanner_mod
     calls = _counting_envelope(monkeypatch)
-    envelope_calls = {}
-    for sites in (random_instance(120, model="uniform", seed=70),
-                  _clumped_instance(3), _clumped_instance(4)):
-        runs = []
-        # 0 forces the envelope wherever a cell has 3 or more disks; a huge
-        # limit runs the direct containment loop everywhere
-        for limit in (0, 10 ** 9):
-            monkeypatch.setattr(spanner_mod, "_BRUTE_LIMIT", limit)
-            before = calls[0]
-            H = BUILDERS[variant](sites, 2.0)
-            envelope_calls[limit] = envelope_calls.get(limit, 0) \
-                + calls[0] - before
-            assert audit_stretch(sites, H, 2.0).ok
-            assert verify_shorter_edge(sites, H) == []
-            runs.append(_target_cones(H))
-        # both paths cover the same targets per cone; sources may differ
-        assert runs[0] == runs[1]
-    assert envelope_calls[0] > 0
-    assert envelope_calls[10 ** 9] == 0
+    instances = (random_instance(120, model="uniform", seed=70),
+                 _clumped_instance(3), _clumped_instance(4))
+    for variant in sorted(BUILDERS):
+        envelope_calls = {}
+        for sites in instances:
+            runs = []
+            # 0 forces the envelope wherever a cell has 3 or more disks; a
+            # huge limit runs the direct containment loop everywhere
+            for limit in (0, 10 ** 9):
+                monkeypatch.setattr(spanner_mod, "_BRUTE_LIMIT", limit)
+                before = calls[0]
+                H = BUILDERS[variant](sites, 2.0)
+                envelope_calls[limit] = envelope_calls.get(limit, 0) \
+                    + calls[0] - before
+                assert audit_stretch(sites, H, 2.0).ok, variant
+                assert verify_shorter_edge(sites, H) == [], variant
+                runs.append(_target_cones(H))
+            # both paths cover the same targets per cone; sources may differ
+            assert runs[0] == runs[1], variant
+        assert envelope_calls[0] > 0, variant
+        assert envelope_calls[10 ** 9] == 0, variant
 
 
 def test_general_default_build_uses_envelope(monkeypatch):
