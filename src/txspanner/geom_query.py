@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .core import disk_contains
+from .core import EPS, disk_contains
 
 _LINEAR_SCAN_LIMIT = 16
 
@@ -100,9 +100,10 @@ class DiskContainment:
     """Immutable structure answering: some site whose disk contains q.
 
     A kd-partition over site centers; the query maximizes the power
-    r_s^2 - |sq|^2 with subtree pruning via bounding boxes and the
-    largest radius below each node. The maximizer contains q exactly
-    when its power is nonnegative (up to the shared tolerance).
+    (r_s + EPS)^2 - |sq|^2 with subtree pruning via bounding boxes and
+    the largest radius below each node. The radius is padded by the
+    tolerance of `disk_contains`, so the maximizer contains q whenever
+    any site does.
     """
 
     __slots__ = ("sites", "_tree")
@@ -120,16 +121,16 @@ class DiskContainment:
         x1 = max(pts[i].x for i in idxs)
         y0 = min(pts[i].y for i in idxs)
         y1 = max(pts[i].y for i in idxs)
-        rmax = max(pts[i].radius for i in idxs)
+        rrmax = max(pts[i].radius for i in idxs) + EPS
         if len(idxs) <= self._LEAF:
-            return (x0, y0, x1, y1, rmax, idxs, None, None)
+            return (x0, y0, x1, y1, rrmax, idxs, None, None)
         key = (lambda i: (pts[i].x, pts[i].y, i)) if axis == 0 else \
               (lambda i: (pts[i].y, pts[i].x, i))
         idxs = sorted(idxs, key=key)
         mid = len(idxs) // 2
         left = self._build(idxs[:mid], 1 - axis)
         right = self._build(idxs[mid:], 1 - axis)
-        return (x0, y0, x1, y1, rmax, None, left, right)
+        return (x0, y0, x1, y1, rrmax, None, left, right)
 
     @staticmethod
     def _box_dist2(node, x, y):
@@ -160,7 +161,8 @@ class DiskContainment:
                     s = self.sites[i]
                     dx = x - s.x
                     dy = y - s.y
-                    power = s.radius * s.radius - dx * dx - dy * dy
+                    rr = s.radius + EPS
+                    power = rr * rr - (dx * dx + dy * dy)
                     key = (power, -s.id)
                     if best_key is None or key > best_key:
                         best_key = key

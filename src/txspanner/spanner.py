@@ -48,30 +48,32 @@ class SpannerGraph:
         self.offset = offset
         self.edge_cones = edge_cones
         self._in = None
-        self._out = None
+        self._out_csr = None
 
     @property
     def m(self):
         return len(self.edges)
 
-    def _build_adj(self):
-        self._in = [[] for _ in range(self.n)]
-        self._out = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            self._in[v].append((u, w))
-            self._out[u].append((v, w))
-
     def in_edges(self, v):
         """Incoming (source, length) pairs of site v."""
         if self._in is None:
-            self._build_adj()
+            self._in = [[] for _ in range(self.n)]
+            for u, dst, w in self.edges:
+                self._in[dst].append((u, w))
         return self._in[v]
 
-    def out_edges(self, u):
-        """Outgoing (target, length) pairs of site u."""
-        if self._out is None:
-            self._build_adj()
-        return self._out[u]
+    @property
+    def out_csr(self):
+        """Out-adjacency as (indptr, targets) arrays: the targets of u are
+        targets[indptr[u]:indptr[u + 1]], in `edges` order."""
+        if self._out_csr is None:
+            m = len(self.edges)
+            src = np.fromiter((u for u, _, _ in self.edges), np.int64, m)
+            dst = np.fromiter((v for _, v, _ in self.edges), np.int64, m)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+            self._out_csr = (indptr, dst[np.argsort(src, kind="stable")])
+        return self._out_csr
 
     def edge_set(self):
         return {(u, v) for u, v, _ in self.edges}

@@ -2,13 +2,14 @@
 
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
 from conftest import random_instance
 from txspanner.bfs import bfs_tree
-from txspanner.core import disk_contains, make_sites
+from txspanner.core import EPS, disk_contains, make_sites
 from txspanner.oracle import bfs_oracle, materialize
 from txspanner.spanner import BUILDERS, SpannerGraph, build_spanner_spread
 
@@ -92,3 +93,58 @@ def test_bfs_layers_partition_reachable():
                                   if res.dist[i] != math.inf)
     for d, layer in enumerate(res.layers):
         assert all(res.dist[i] == d for i in layer)
+
+
+def _fifo_layers(sites, H, root):
+    """Layers of the edge-at-a-time FIFO search, containment by scanning
+    the whole previous layer."""
+    out = [[] for _ in sites]
+    for u, v, _ in H.edges:
+        out[u].append(v)
+    seen = {root}
+    layers = [[root]]
+    while layers[-1]:
+        W = layers[-1]
+        inside = {}
+        nxt = []
+        queue = deque(W)
+        while queue:
+            p = queue.popleft()
+            for q in out[p]:
+                if q in seen:
+                    continue
+                if q not in inside:
+                    inside[q] = any(disk_contains(sites[w], sites[q].x,
+                                                  sites[q].y) for w in W)
+                if inside[q]:
+                    seen.add(q)
+                    nxt.append(q)
+                    queue.append(q)
+        layers.append(nxt)
+    return layers[:-1]
+
+
+@pytest.mark.parametrize("variant,model", [
+    ("spread", "uniform"),
+    ("ratio", "pareto"),
+    ("general", "uniform"),
+])
+def test_bfs_parents_and_layer_order_pinned(variant, model):
+    sites = random_instance(200, model=model, seed=85)
+    H = BUILDERS[variant](sites, 2.0)
+
+    def rank(p, q):
+        rr = sites[p].radius + EPS
+        dx = sites[q].x - sites[p].x
+        dy = sites[q].y - sites[p].y
+        return (rr * rr - (dx * dx + dy * dy), -p)
+
+    for root in (0, 57, 123):
+        res = bfs_tree(sites, H, root)
+        assert res.layers == _fifo_layers(sites, H, root)
+        for q, d in enumerate(res.dist):
+            if d in (0, math.inf):
+                continue
+            prev = res.layers[d - 1]
+            assert res.parent[q] == max(prev, key=lambda p: rank(p, q))
+        assert res.max_edge_relaxations() <= 2

@@ -162,6 +162,20 @@ def test_bfs_subcommand_bad_root(tmp_path):
     assert main(["bfs", str(sites), str(out), "--root", "99"]) == 2
 
 
+@pytest.mark.parametrize("spanner_n", [2, 5])
+def test_bfs_rejects_spanner_of_other_site_count(tmp_path, capsys,
+                                                 spanner_n):
+    sites = tmp_path / "sites.txt"
+    sites.write_text("0 0 1\n0.5 0 1\n1 0 1\n")
+    spanner = tmp_path / "h.txt"
+    spanner.write_text(f"{spanner_n} 1 2.0 101 68\n0 1 0.5\n")
+    capsys.readouterr()
+    assert main(["bfs", str(sites), str(spanner), "--root", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"spanner has {spanner_n} sites" in err
+    assert "site list has 3" in err
+
+
 def test_reach_subcommand_many_components(tmp_path, capsys):
     path = tmp_path / "sites.txt"
     path.write_text("".join(f"{10 * i} 0 1\n" for i in range(30))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_sites
-from txspanner.core import disk_contains
+from txspanner.core import disk_contains, make_sites
 from txspanner.geom_query import DiskContainment, DynamicNN
 
 
@@ -91,6 +91,17 @@ def test_dc_point_outside_all_disks():
 def test_dc_empty_structure():
     pd = DiskContainment([])
     assert pd.query(0.0, 0.0) is None
+
+
+def test_dc_containing_disk_within_tolerance_wins():
+    # site 0 contains the point only through the EPS padding; the tiny
+    # disk of site 1 has the larger unpadded power r^2 - d^2 but misses
+    sites = make_sites([(0.0, 0.0, 1.0),
+                        (1.0 + 5e-10 + 1e-6 + 1.5e-9, 0.0, 1e-6)])
+    pd = DiskContainment(sites)
+    x, y = 1.0 + 5e-10, 0.0
+    assert pd.query_linear(x, y) == sites[0]
+    assert pd.query(x, y) == sites[0]
 
 
 def test_dc_random_queries_match_linear_scan():
