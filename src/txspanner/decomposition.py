@@ -498,13 +498,12 @@ def neighbor_pair_rows(decomp, prune=True):
                 continue
             for s0 in range(0, len(strong), 256):
                 chunk = strong[s0:s0 + 256]
-                balls = tree.query_ball_point(pts[chunk], r_out, p=np.inf)
-                lens = [len(b) for b in balls]
-                src = np.repeat(chunk, lens)
-                if len(src) == 0:
+                near = cKDTree(pts[chunk]).sparse_distance_matrix(
+                    tree, r_out, p=np.inf, output_type="ndarray")
+                if len(near) == 0:
                     continue
-                tgt = np.fromiter((j for b in balls for j in b),
-                                  dtype=np.int64, count=len(src))
+                src = chunk[near["i"]]
+                tgt = near["j"].astype(np.int64)
                 gx = np.maximum(np.abs(ix[src] - ix[tgt]) - 1, 0)
                 gy = np.maximum(np.abs(iy[src] - iy[tgt]) - 1, 0)
                 g2 = gx * gx + gy * gy
@@ -567,8 +566,8 @@ def derive_decomposition(structure, params, variant, sites,
 def cone_assignments(decomp):
     """Pruned neighbor pairs annotated with the cones that must consider them.
 
-    Returns an int64 array of rows (cone, level, target id, source id)
-    sorted lexicographically, ready for the per-cone selection sweep. A
+    Returns an integer array of rows (cone, level, target id, source id)
+    in no particular order: the selection sweep groups them by level. A
     source cell is assigned to cone j when it lies entirely inside the
     doubled cone of j whose apex is the target cell's center; the angular
     arithmetic mirrors cone_range_for_cell, vectorized over all pairs.
@@ -620,10 +619,7 @@ def cone_assignments(decomp):
                                tt_c[ok][rep].astype(np.int32)], axis=1))
     if not parts:
         return np.zeros((0, 4), dtype=np.int64)
-    rows = parts[0] if len(parts) == 1 else np.vstack(parts)
-    del parts
-    order = np.lexsort((rows[:, 3], rows[:, 2], rows[:, 1], rows[:, 0]))
-    return rows[order]
+    return parts[0] if len(parts) == 1 else np.vstack(parts)
 
 
 def decomposition_dump(decomp):

@@ -96,6 +96,8 @@ class GeomOracle:
         if t > 2.0 + 1e-12:
             raise ValueError(f"geometric oracle needs stretch <= 2, got t={t}")
         self.sites = list(sites)
+        if not self.sites:
+            raise ValueError("geometric oracle needs at least one site")
         self.params = spanner_parameters(t)
         self.base = base if base is not None else BaseOracle(sites)
         norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_RATIO],

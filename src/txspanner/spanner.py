@@ -4,13 +4,21 @@ Three builders share one selection sweep over their annulus
 decompositions: bounded spread (quadtree), bounded radius ratio
 (quadforest plus one Yao graph of the disk graph UDG(r_min) for nearby
 sites) and the general case (compressed quadtree augmented with the cells
-of a well-separated pair decomposition). Edge selection against a cell of
-candidate disks runs either over the lower envelope of the disk caps
-below a separating line or by direct containment tests for tiny inputs.
+of a well-separated pair decomposition). The sweep takes one level at a
+time, all cones at once: each (cone, node, neighbor cell) row of the level
+is decided by one batched numpy containment test against a
+(cones x sites) activity matrix, except rows whose cell offers many disks
+to many targets, which select over the lower envelope of the disk caps
+below a separating line. The builders hand the selected (source, target,
+cone) arrays to one finishing step that sorts them into the edge list
+and the per-edge cone lists.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import itertools
 import math
 
 import numpy as np
@@ -290,11 +298,18 @@ def select_edges_bruteforce(targets, disks):
 
 
 # ---------------------------------------------------------------------------
-# decomposition-driven selection (envelope engine)
+# decomposition-driven selection sweep
 
-# below this |R| * |Q| product a direct double loop beats building the
-# envelope; 0 forces the envelope everywhere (used by tests)
+# a sweep row with 3 or more disks whose disk count times its count of
+# targets active at level start exceeds this selects over the cap
+# envelope; every other row joins the level's batched containment test.
+# 0 forces the envelope wherever it applies (used by tests)
 _BRUTE_LIMIT = 64
+
+# bound on the entries one numpy pass holds at once: (row, target) pairs
+# and containment candidates of the sweep, edges of _finish
+_SWEEP_CHUNK = 1 << 14
+
 
 def _separating_line(sigma, tau):
     """Axis-parallel line strictly between two disjoint same-level cells."""
@@ -312,80 +327,119 @@ def _separating_line(sigma, tau):
     return line
 
 
-def _select_for_node(sites, v, taus, active, edges, cone):
-    """Run edge selection at node v against its neighbor cells for one cone.
+def _csr(lists):
+    """(indptr, flat) int64 arrays of a list of int lists."""
+    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lists), np.int64, len(lists)),
+              out=indptr[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
+                       int(indptr[-1]))
+    return indptr, flat
 
-    Returns the target sites that received at least one edge; the caller
-    deactivates them for the rest of the cone.
+
+def _expand(lo, counts):
+    """(owner, position) of every entry of the ranges
+    [lo[i], lo[i] + counts[i]), in owner order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) + (lo - start)[owner]
+
+
+def _chunks(weight):
+    """Consecutive [a, b) index ranges of about _SWEEP_CHUNK total weight
+    each; an entry heavier than that gets its own range."""
+    cum = np.cumsum(weight)
+    cuts = np.searchsorted(cum, np.arange(_SWEEP_CHUNK, int(cum[-1]),
+                                          _SWEEP_CHUNK), side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(weight)]))).tolist()
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _select_for_node(sites, nodes, level, csr, active):
+    """Edges selected at the nodes of one level, in all cones at once.
+
+    level holds the level's rows (cone, level, node v, neighbor cell tau);
+    csr = (xy, rr, site_ptr, site_ids, disk_ptr, disk_ids) gives site
+    coordinates, squared padded radii and, per node, its sites and its
+    disks R_tau + [m_tau]. Each target active at the level's start takes
+    the first disk of each row that contains it. Returns a list of
+    (source, target, cone) array triples; `active` is only read.
     """
-    q_ids = [i for i in v.sites if active[i]]
-    if not q_ids:
-        return ()
-    covered = set()
-    for tau in taus:
-        disks_ids = list(tau.R)
-        if tau.m is not None and tau.m not in tau.R:
-            disks_ids.append(tau.m)
-        if not disks_ids:
+    xy, rr, site_ptr, site_ids, disk_ptr, disk_ids = csr
+    cone, v, tau = level[:, 0], level[:, 2], level[:, 3]
+    n_sites = site_ptr[v + 1] - site_ptr[v]
+    n_disks = disk_ptr[tau + 1] - disk_ptr[tau]
+    picked = []
+    for a, b in _chunks(n_sites):
+        # (row, target) pairs over the targets active at level start
+        row, pos = _expand(site_ptr[v[a:b]], n_sites[a:b])
+        q = site_ids[pos]
+        row += a
+        keep = active[cone[row], q]
+        row, q = row[keep], q[keep]
+        n_q = np.bincount(row - a, minlength=b - a)
+        env = (n_disks[a:b] >= 3) & (n_disks[a:b] * n_q > _BRUTE_LIMIT)
+        if env.any():
+            ptr = np.concatenate(([0], np.cumsum(n_q))).tolist()
+            for j in np.flatnonzero(env).tolist():
+                t = int(tau[a + j])
+                sel = select_edges_envelope(
+                    [sites[i] for i in q[ptr[j]:ptr[j + 1]].tolist()],
+                    [sites[i] for i in
+                     disk_ids[disk_ptr[t]:disk_ptr[t + 1]].tolist()],
+                    _separating_line(nodes[int(v[a + j])].cell,
+                                     nodes[t].cell))
+                if sel:
+                    sel = np.array(sel, dtype=np.int64)
+                    picked.append((sel[:, 0], sel[:, 1],
+                                   np.full(len(sel), cone[a + j])))
+            direct = ~env[row - a]
+            row, q = row[direct], q[direct]
+        if len(row) == 0:
             continue
-        if len(disks_ids) * len(q_ids) <= _BRUTE_LIMIT or len(disks_ids) < 3:
-            disks = [(sites[i].x, sites[i].y, (sites[i].radius + EPS) ** 2)
-                     for i in disks_ids]
-            for q_id in q_ids:
-                q = sites[q_id]
-                for pos, (dx_, dy_, rr) in enumerate(disks):
-                    ddx = q.x - dx_
-                    ddy = q.y - dy_
-                    if ddx * ddx + ddy * ddy <= rr:
-                        cones = edges.setdefault((disks_ids[pos], q_id), [])
-                        if cone not in cones:
-                            cones.append(cone)
-                        covered.add(q_id)
-                        break
-        else:
-            sel = select_edges_envelope([sites[i] for i in q_ids],
-                                        [sites[i] for i in disks_ids],
-                                        _separating_line(v.cell, tau.cell))
-            for r_id, q_id in sel:
-                cones = edges.setdefault((r_id, q_id), [])
-                if cone not in cones:
-                    cones.append(cone)
-                covered.add(q_id)
-    return covered
+        for lo, hi in _chunks(n_disks[row]):
+            # (row, target, disk) candidates; the first hit per pair wins
+            pair, pos = _expand(disk_ptr[tau[row[lo:hi]]], n_disks[row[lo:hi]])
+            qq = q[lo:hi][pair]
+            r = disk_ids[pos]
+            dx = xy[qq, 0] - xy[r, 0]
+            dy = xy[qq, 1] - xy[r, 1]
+            hit = np.flatnonzero(dx * dx + dy * dy <= rr[r])
+            first = np.ones(len(hit), dtype=bool)
+            first[1:] = pair[hit[1:]] != pair[hit[:-1]]
+            hit = hit[first]
+            picked.append((r[hit], qq[hit], cone[row[lo:hi][pair[hit]]]))
+    return picked
 
 
 def _decomposition_edges(sites, decomp):
     """All edges selected by the per-cone, level-increasing sweep.
 
-    Returns a dict (source, target) -> list of cones that produced it.
-    A fresh activity bitmap is used per cone; a site is deactivated for
-    the rest of a cone once it has an incoming edge in that cone.
+    Returns int64 arrays (source, target, cone), one entry per edge and
+    cone that selected it. Within a cone a site is deactivated once it
+    has an incoming edge, and a node reads the activity of its sites once,
+    before it meets its neighbor cells. Nodes of one level hold disjoint
+    sites, so every row of a level, in all cones at once, is decided in
+    one batched pass against the activity at the level's start, and the
+    level's deactivations apply after it.
     """
     rows = cone_assignments(decomp)
-    edges = {}
-    if len(rows) == 0:
-        return edges
-    n = len(sites)
-    cone_col = rows[:, 0]
-    v_col = rows[:, 2]
-    tau_col = rows[:, 3]
-    change = np.flatnonzero((np.diff(cone_col) != 0) | (np.diff(v_col) != 0))
-    starts = np.concatenate(([0], change + 1)).tolist()
-    ends = np.concatenate((change + 1, [len(rows)])).tolist()
     nodes = decomp.nodes
-    active = None
-    cur_cone = -1
-    for s, e in zip(starts, ends):
-        cone = int(cone_col[s])
-        if cone != cur_cone:
-            cur_cone = cone
-            active = [True] * n
-        taus = [nodes[tau_col[x]] for x in range(s, e)]
-        covered = _select_for_node(sites, nodes[int(v_col[s])], taus,
-                                   active, edges, cone)
-        for q in covered:
-            active[q] = False
-    return edges
+    csr = (np.array([(s.x, s.y) for s in sites], dtype=np.float64),
+           (np.array([s.radius for s in sites], dtype=np.float64) + EPS) ** 2,
+           *_csr([v.sites for v in nodes]),
+           *_csr([v.R + [v.m] if v.m is not None and v.m not in v.R else v.R
+                  for v in nodes]))
+    active = np.ones((decomp.params.k, len(sites)), dtype=bool)
+    empty = np.zeros(0, dtype=np.int64)
+    found = [(empty, empty, empty)]
+    for lvl in np.unique(rows[:, 1]).tolist():
+        picked = _select_for_node(sites, nodes, rows[rows[:, 1] == lvl], csr,
+                                  active)
+        for _, dst, cone in picked:
+            active[cone, dst] = False
+        found += picked
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +479,17 @@ def euclidean_spanner(xy, t, radius):
     d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
     ang = np.arctan2(d[:, 1], d[:, 0]) % (2.0 * math.pi)
     cone = np.minimum((ang / (2.0 * math.pi / k)).astype(np.int64), k - 1)
-    order = np.lexsort((dst, d2, cone, src))
-    key = src[order] * k + cone[order]
-    first = order[np.concatenate(([True], key[1:] != key[:-1]))]
-    kept = np.stack((np.minimum(src[first], dst[first]),
-                     np.maximum(src[first], dst[first])), axis=1)
-    return np.unique(kept, axis=0)
+    # per (src, cone) group: the least d2, then the least dst among those
+    key = src * k + cone
+    best = np.full(len(xy) * k, np.inf)
+    np.minimum.at(best, key, d2)
+    tie = d2 == best[key]
+    near = np.full(len(xy) * k, len(xy), dtype=np.int64)
+    np.minimum.at(near, key[tie], dst[tie])
+    u = np.flatnonzero(near < len(xy))
+    a, b = u // k, near[u]
+    kept = np.unique(np.minimum(a, b) * len(xy) + np.maximum(a, b))
+    return np.stack(np.divmod(kept, len(xy)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +503,60 @@ def _resolve_params(t, params):
     return params
 
 
-def _distance(a, b):
-    return math.hypot(a.x - b.x, a.y - b.y)
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic collector while millions of acyclic containers
+    are built: its passes over them would find nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _finish(sites, n, edge_cones, t, params, variant, scale, offset):
-    edges = [(u, v, _distance(sites[u], sites[v]))
-             for u, v in sorted(edge_cones)]
+def _finish(sites, n, src, dst, cone, t, params, variant, scale, offset):
+    """SpannerGraph of the selected (source, target, cone) entries, with
+    edges sorted by (source, target) and lengths in input coordinates.
+    Cone -1 marks an edge that no cone selected (a Yao edge); its list in
+    `edge_cones` stays empty unless a cone selected it too."""
+    span = int(cone.max(initial=0)) + 2
+    if n * n * span < 1 << 63:
+        # one int64 key sorts far faster than a three-key lexsort
+        key = np.sort((src * n + dst) * span + (cone + 1))
+        pair, cone = np.divmod(key, span)
+        cone -= 1
+        del key
+    else:
+        order = np.lexsort((cone, dst, src))
+        pair, cone = src[order] * n + dst[order], cone[order]
+        del order
+    # an edge's entries are one run of equal pair; its -1 sorts first
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    lo = first + (cone[first] < 0)
+    hi = np.append(first[1:], len(cone))
+    src, dst = np.divmod(pair[first], n)
+    del pair
+    x = np.array([s.x for s in sites], dtype=np.float64)
+    y = np.array([s.y for s in sites], dtype=np.float64)
+    ids = list(range(n))  # one int object per site, shared by all edges
+    edges = []
+    edge_cones = {}
+    with _gc_paused():
+        # in chunks, so that only the kept Python objects scale with m
+        for a in range(0, len(first), _SWEEP_CHUNK):
+            b = min(a + _SWEEP_CHUNK, len(first))
+            u, v = src[a:b], dst[a:b]
+            w = map(math.hypot, (x[u] - x[v]).tolist(),
+                    (y[u] - y[v]).tolist())
+            u = list(map(ids.__getitem__, u.tolist()))
+            v = list(map(ids.__getitem__, v.tolist()))
+            cones = cone[first[a]:hi[b - 1]].tolist()
+            edges += zip(u, v, w)
+            edge_cones.update(zip(zip(u, v), (
+                cones[i:j] for i, j in zip((lo[a:b] - first[a]).tolist(),
+                                           (hi[a:b] - first[a]).tolist()))))
     return SpannerGraph(n, edges, t, params, variant, scale, offset,
                         edge_cones=edge_cones)
 
@@ -466,8 +572,21 @@ def build_spanner_spread(sites, t, params=None):
     root = build_quadtree(norm, params)
     decomp = derive_decomposition(root, params, VARIANT_SPREAD, norm,
                                   materialize_neighbors=False)
-    edge_cones = _decomposition_edges(norm, decomp)
-    return _finish(sites, n, edge_cones, t, params, VARIANT_SPREAD, scale, offset)
+    return _finish(sites, n, *_decomposition_edges(norm, decomp), t, params,
+                   VARIANT_SPREAD, scale, offset)
+
+
+def _component_edges(norm, comp, params, depth):
+    """Swept (source, target, cone) arrays of one partition class, in the
+    site ids of `norm`."""
+    sub = [Site(pos, norm[i].x, norm[i].y, norm[i].radius)
+           for pos, i in enumerate(comp)]
+    roots = build_quadforest(sub, params, depth=depth)
+    decomp = derive_decomposition(roots, params, VARIANT_RATIO, sub,
+                                  materialize_neighbors=False)
+    src, dst, cone = _decomposition_edges(sub, decomp)
+    comp = np.asarray(comp, dtype=np.int64)
+    return comp[src], comp[dst], cone
 
 
 def build_spanner_radius_ratio(sites, t, params=None):
@@ -487,17 +606,8 @@ def build_spanner_radius_ratio(sites, t, params=None):
                                     params.c)
     depth = forest_depth(radius_ratio(norm))
     comps = partition_components(norm, params)
-    edge_cones = {}
-    for comp in comps:
-        if len(comp) == 1:
-            continue
-        sub = [Site(pos, norm[i].x, norm[i].y, norm[i].radius)
-               for pos, i in enumerate(comp)]
-        roots = build_quadforest(sub, params, depth=depth)
-        decomp = derive_decomposition(roots, params, VARIANT_RATIO, sub,
-                                      materialize_neighbors=False)
-        for (u, v), cones in _decomposition_edges(sub, decomp).items():
-            edge_cones.setdefault((comp[u], comp[v]), []).extend(cones)
+    parts = [_component_edges(norm, comp, params, depth)
+             for comp in comps if len(comp) > 1]
     xy = np.array([(s.x, s.y) for s in norm], dtype=np.float64)
     rad = np.array([s.radius for s in norm], dtype=np.float64)
     pairs = euclidean_spanner(xy, t, rad.min())
@@ -507,10 +617,13 @@ def build_spanner_radius_ratio(sites, t, params=None):
     if len(bad):
         u, w = pairs[bad[0]].tolist()
         raise AssertionError(f"Yao edge {u}-{w} is not a two-way transmission edge")
-    for u, w in pairs.tolist():
-        edge_cones.setdefault((u, w), [])
-        edge_cones.setdefault((w, u), [])
-    return _finish(sites, n, edge_cones, t, params, VARIANT_RATIO, scale, offset)
+    # each Yao pair in both directions, with no cone
+    parts.append((np.concatenate((pairs[:, 0], pairs[:, 1])),
+                  np.concatenate((pairs[:, 1], pairs[:, 0])),
+                  np.full(2 * len(pairs), -1, dtype=np.int64)))
+    src, dst, cone = (np.concatenate(col) for col in zip(*parts))
+    return _finish(sites, n, src, dst, cone, t, params, VARIANT_RATIO, scale,
+                   offset)
 
 
 def build_spanner_general(sites, t, params=None):
@@ -527,8 +640,8 @@ def build_spanner_general(sites, t, params=None):
     root = augment_with_wspd(root, wspd, params, norm)
     decomp = derive_decomposition(root, params, VARIANT_GENERAL, norm,
                                   materialize_neighbors=False)
-    edge_cones = _decomposition_edges(norm, decomp)
-    return _finish(sites, n, edge_cones, t, params, VARIANT_GENERAL, scale, offset)
+    return _finish(sites, n, *_decomposition_edges(norm, decomp), t, params,
+                   VARIANT_GENERAL, scale, offset)
 
 
 BUILDERS = {

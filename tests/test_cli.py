@@ -4,7 +4,7 @@ import pytest
 
 from txspanner.cli import generate_sites, main
 from txspanner.core import load_sites
-from txspanner.spanner import SpannerGraph
+from txspanner.spanner import SpannerGraph, build_spanner_radius_ratio
 
 
 def _gen(tmp_path, n=60, model="uniform", seed=5, name="sites.txt"):
@@ -249,6 +249,25 @@ def test_stats_fresh_build_and_csv(tmp_path, capsys):
     assert "m/n" in out and "build-seconds" in out
     content = csv.read_text()
     assert content.startswith("n,50")
+
+
+def test_stats_per_cone_indegree_histogram(tmp_path, capsys):
+    sites = _gen(tmp_path, n=120, model="pareto", seed=11)
+    csv = tmp_path / "stats.csv"
+    assert main(["stats", str(sites), "--t", "2", "--variant", "ratio",
+                 "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    hist = {int(key[len("indegree-"):]): int(val)
+            for key, val in (line.split(",")
+                             for line in csv.read_text().splitlines())
+            if key.startswith("indegree-")}
+    assert hist == {1: 3388, 2: 529, 3: 43}
+    assert out.splitlines()[-3:] == ["     1  3388", "     2  529",
+                                     "     3  43"]
+    # every (edge, cone) pair adds one to the in-degree of (cone, target)
+    H = build_spanner_radius_ratio(load_sites(sites), 2.0)
+    assert sum(deg * count for deg, count in hist.items()) == \
+        sum(len(cones) for cones in H.edge_cones.values()) == 4575
 
 
 def test_stats_from_file_needs_no_t(tmp_path, capsys):

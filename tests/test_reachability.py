@@ -87,6 +87,11 @@ def test_geom_oracle_rejects_large_stretch():
         GeomOracle(sites, t=3.0)
 
 
+def test_geom_oracle_rejects_empty_site_list():
+    with pytest.raises(ValueError, match="at least one site"):
+        GeomOracle([])
+
+
 # ---------------------------------------------------------------------------
 # cover sets
 

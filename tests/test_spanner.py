@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import euclid, random_instance
@@ -227,6 +228,87 @@ def test_general_default_build_uses_envelope(monkeypatch):
     assert verify_shorter_edge(sites, H) == []
 
 
+def _reference_edges(sites, decomp):
+    """Per-(cone, node) selection loop, the oracle for the batched sweep.
+
+    A node reads the activity of its sites once; each neighbor cell gives
+    an active target an edge from its first disk of R + [m] containing it
+    (or from the envelope where the sweep would use it); covered targets
+    are deactivated for the rest of the cone after all neighbor cells.
+    """
+    import txspanner.spanner as spanner_mod
+    from txspanner.core import disk_contains
+    from txspanner.decomposition import cone_assignments
+
+    nodes = decomp.nodes
+    groups = {}
+    for cone, _, v, tau in sorted(cone_assignments(decomp).tolist()):
+        groups.setdefault((cone, v), []).append(tau)
+    entries = []
+    active = {}
+    for (cone, v), taus in groups.items():  # (cone, level, node) order
+        act = active.setdefault(cone, [True] * len(sites))
+        q_ids = [i for i in nodes[v].sites if act[i]]
+        covered = set()
+        for tau in taus:
+            node = nodes[tau]
+            disk_ids = list(node.R)
+            if node.m is not None and node.m not in node.R:
+                disk_ids.append(node.m)
+            if len(disk_ids) >= 3 and \
+                    len(disk_ids) * len(q_ids) > spanner_mod._BRUTE_LIMIT:
+                sel = select_edges_envelope(
+                    [sites[i] for i in q_ids], [sites[i] for i in disk_ids],
+                    spanner_mod._separating_line(nodes[v].cell, node.cell))
+            else:
+                sel = []
+                for q in q_ids:
+                    hits = [r for r in disk_ids
+                            if disk_contains(sites[r], sites[q].x, sites[q].y)]
+                    if hits:
+                        sel.append((hits[0], q))
+            for r, q in sel:
+                entries.append((r, q, cone))
+                covered.add(q)
+        for q in covered:
+            act[q] = False
+    cols = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    return cols[:, 0], cols[:, 1], cols[:, 2]
+
+
+@pytest.mark.parametrize("variant", sorted(BUILDERS))
+def test_sweep_matches_reference_loop(monkeypatch, variant):
+    import txspanner.spanner as spanner_mod
+    instances = (random_instance(150, model="pareto", seed=76),
+                 random_instance(150, model="constant", seed=77),
+                 _clumped_instance(3))
+    for sites in instances:
+        for limit in (0, spanner_mod._BRUTE_LIMIT, 10 ** 9):
+            monkeypatch.setattr(spanner_mod, "_BRUTE_LIMIT", limit)
+            H = BUILDERS[variant](sites, 2.0)
+            with monkeypatch.context() as m:
+                m.setattr(spanner_mod, "_decomposition_edges",
+                          _reference_edges)
+                ref = BUILDERS[variant](sites, 2.0)
+            assert H.edge_cones == ref.edge_cones
+            assert H.edges == ref.edges
+            assert all(cones == sorted(set(cones))
+                       for cones in H.edge_cones.values())
+
+
+@pytest.mark.parametrize("variant", sorted(BUILDERS))
+def test_sweep_chunking_keeps_edges(monkeypatch, variant):
+    # tiny chunks split every level into many passes; deactivation must
+    # still wait for the level's end
+    import txspanner.spanner as spanner_mod
+    sites = random_instance(150, model="pareto", seed=78)
+    H = BUILDERS[variant](sites, 2.0)
+    monkeypatch.setattr(spanner_mod, "_SWEEP_CHUNK", 3)
+    chunked = BUILDERS[variant](sites, 2.0)
+    assert chunked.edge_cones == H.edge_cones
+    assert chunked.edges == H.edges
+
+
 # ---------------------------------------------------------------------------
 # Euclidean spanner
 
@@ -246,6 +328,32 @@ def test_euclidean_collinear_path_stretch_one():
     # consecutive points are joined, so the path itself is present
     for i in range(9):
         assert i + 1 in adj[i]
+
+
+def test_euclidean_keeps_nearest_per_cone_smaller_index_on_ties():
+    rng = random.Random(79)
+    # a coarse lattice makes equal distances common; a few points coincide
+    pts = [(rng.randrange(12) * 0.5, rng.randrange(12) * 0.5)
+           for _ in range(90)]
+    pts += pts[:5]
+    xy = np.array(pts)
+    k = yao_cone_count(2.0)
+    for radius in (1.1, 2.5):
+        kept = set()
+        for i in range(len(pts)):
+            best = {}
+            for j in range(len(pts)):
+                d = xy[j] - xy[i]
+                d2 = d[0] * d[0] + d[1] * d[1]
+                if j == i or d2 > radius * radius:
+                    continue
+                ang = np.arctan2(d[1], d[0]) % (2.0 * math.pi)
+                cone = min(int(ang / (2.0 * math.pi / k)), k - 1)
+                if cone not in best or (d2, j) < best[cone]:
+                    best[cone] = (d2, j)
+            kept |= {(min(i, j), max(i, j)) for _, j in best.values()}
+        assert euclidean_spanner(pts, 2.0, radius).tolist() == \
+            sorted(map(list, kept))
 
 
 def test_euclidean_stretch_vs_complete_graph():
