@@ -567,7 +567,8 @@ def cone_assignments(decomp):
     """Pruned neighbor pairs annotated with the cones that must consider them.
 
     Returns an integer array of rows (cone, level, target id, source id)
-    in no particular order: the selection sweep groups them by level. A
+    in which the rows of each level form one contiguous run, the unit the
+    selection sweep takes at a time; levels come in no particular order. A
     source cell is assigned to cone j when it lies entirely inside the
     doubled cone of j whose apex is the target cell's center; the angular
     arithmetic mirrors cone_range_for_cell, vectorized over all pairs.

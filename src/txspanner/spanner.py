@@ -355,7 +355,7 @@ def _chunks(weight):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _select_for_node(sites, nodes, level, csr, active):
+def _select_level(sites, nodes, level, csr, active):
     """Edges selected at the nodes of one level, in all cones at once.
 
     level holds the level's rows (cone, level, node v, neighbor cell tau);
@@ -412,6 +412,11 @@ def _select_for_node(sites, nodes, level, csr, active):
     return picked
 
 
+# the name the sweep calls its level step by, kept from the per-node step
+# it replaced because benchmarks/fidelity.py rebinds it to slow the sweep
+_select_for_node = _select_level
+
+
 def _decomposition_edges(sites, decomp):
     """All edges selected by the per-cone, level-increasing sweep.
 
@@ -433,9 +438,14 @@ def _decomposition_edges(sites, decomp):
     active = np.ones((decomp.params.k, len(sites)), dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty)]
-    for lvl in np.unique(rows[:, 1]).tolist():
-        picked = _select_for_node(sites, nodes, rows[rows[:, 1] == lvl], csr,
-                                  active)
+    # cone_assignments gives each level one contiguous run of rows
+    levels = np.split(rows, np.flatnonzero(np.diff(rows[:, 1])) + 1) \
+        if len(rows) else []
+    levels.sort(key=lambda level: int(level[0, 1]))
+    if len({int(level[0, 1]) for level in levels}) < len(levels):
+        raise AssertionError("cone rows of one level are not contiguous")
+    for level in levels:
+        picked = _select_for_node(sites, nodes, level, csr, active)
         for _, dst, cone in picked:
             active[cone, dst] = False
         found += picked
@@ -479,15 +489,16 @@ def euclidean_spanner(xy, t, radius):
     d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
     ang = np.arctan2(d[:, 1], d[:, 0]) % (2.0 * math.pi)
     cone = np.minimum((ang / (2.0 * math.pi / k)).astype(np.int64), k - 1)
-    # per (src, cone) group: the least d2, then the least dst among those
+    # per (src, cone) group, one run after sorting its key: the least d2,
+    # then the least dst among those
     key = src * k + cone
-    best = np.full(len(xy) * k, np.inf)
-    np.minimum.at(best, key, d2)
-    tie = d2 == best[key]
-    near = np.full(len(xy) * k, len(xy), dtype=np.int64)
-    np.minimum.at(near, key[tie], dst[tie])
-    u = np.flatnonzero(near < len(xy))
-    a, b = u // k, near[u]
+    order = np.argsort(key)
+    key, d2, dst = key[order], d2[order], dst[order]
+    first = np.diff(key, prepend=-1) != 0
+    start = np.flatnonzero(first)
+    tie = d2 == np.minimum.reduceat(d2, start)[np.cumsum(first) - 1]
+    b = np.minimum.reduceat(np.where(tie, dst, len(xy)), start)
+    a = key[start] // k
     kept = np.unique(np.minimum(a, b) * len(xy) + np.maximum(a, b))
     return np.stack(np.divmod(kept, len(xy)), axis=1)
 
@@ -522,16 +533,13 @@ def _finish(sites, n, src, dst, cone, t, params, variant, scale, offset):
     Cone -1 marks an edge that no cone selected (a Yao edge); its list in
     `edge_cones` stays empty unless a cone selected it too."""
     span = int(cone.max(initial=0)) + 2
-    if n * n * span < 1 << 63:
-        # one int64 key sorts far faster than a three-key lexsort
-        key = np.sort((src * n + dst) * span + (cone + 1))
-        pair, cone = np.divmod(key, span)
-        cone -= 1
-        del key
-    else:
-        order = np.lexsort((cone, dst, src))
-        pair, cone = src[order] * n + dst[order], cone[order]
-        del order
+    if n * n * span >= 1 << 63:
+        raise ValueError(f"{n} sites and {span - 1} cones overflow the "
+                         "int64 edge key")
+    key = np.sort((src * n + dst) * span + (cone + 1))
+    pair, cone = np.divmod(key, span)
+    cone -= 1
+    del key
     # an edge's entries are one run of equal pair; its -1 sorts first
     first = np.flatnonzero(np.diff(pair, prepend=-1))
     lo = first + (cone[first] < 0)

@@ -309,6 +309,15 @@ def test_sweep_chunking_keeps_edges(monkeypatch, variant):
     assert chunked.edges == H.edges
 
 
+def test_finish_rejects_edge_key_overflow():
+    # (source * n + target) * (cones + 1) must fit one int64 sort key
+    import txspanner.spanner as spanner_mod
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="overflow"):
+        spanner_mod._finish([], 1 << 31, empty, empty, empty, 2.0, PARAMS,
+                            "ratio", 1.0, (0.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # Euclidean spanner
 
