@@ -227,6 +227,29 @@ def cone_range_for_cell(cell: GridCell, apex, k):
     return (j_lo, j_hi)
 
 
+def cone_ranges(angs, k):
+    """cone_range_for_cell over many cells at once.
+
+    angs is a (4, N) float array of the angles of each cell's four
+    corners, in `GridCell.corners` order, seen from the cell's apex.
+    Returns int64 arrays (j_lo, j_hi) with the same meaning; a cell that
+    wraps around its apex gets the empty range j_hi = j_lo - 1. No corner
+    may coincide with its apex.
+    """
+    import numpy as np
+
+    two_pi = 2.0 * math.pi
+    delta = two_pi / k
+    rel = (angs - angs[0] + math.pi) % two_pi - math.pi
+    rmin = rel.min(axis=0)
+    rmax = rel.max(axis=0)
+    amin = angs[0] + rmin
+    amax = angs[0] + rmax
+    j_lo = np.ceil((amax - EPS) / delta - 1.5).astype(np.int64)
+    j_hi = np.floor((amin + EPS) / delta + 0.5).astype(np.int64)
+    return j_lo, np.where((rmax - rmin) < math.pi, j_hi, j_lo - 1)
+
+
 # ---------------------------------------------------------------------------
 # spanner constants
 

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
                    MODE_SMALLEST_RADIUS, SQRT2, GridCell, cell_distance,
-                   cell_of, closest_pair, cone_range_for_cell,
+                   cell_of, closest_pair, cone_ranges,
                    same_level_gap_sq)
 
 VARIANT_SPREAD = "spread"
@@ -571,7 +571,7 @@ def cone_assignments(decomp):
     selection sweep takes at a time; levels come in no particular order. A
     source cell is assigned to cone j when it lies entirely inside the
     doubled cone of j whose apex is the target cell's center; the angular
-    arithmetic mirrors cone_range_for_cell, vectorized over all pairs.
+    arithmetic is cone_ranges, vectorized over all pairs.
     """
     k = decomp.params.k
     tv, tt, lvl = neighbor_pair_rows(decomp, prune=True)
@@ -580,8 +580,6 @@ def cone_assignments(decomp):
     nodes = decomp.nodes
     ix = np.array([v.cell.ix for v in nodes], dtype=np.float64)
     iy = np.array([v.cell.iy for v in nodes], dtype=np.float64)
-    two_pi = 2.0 * math.pi
-    delta = two_pi / k
     parts = []
     # chunked so the float intermediates stay bounded on large inputs
     for s in range(0, len(tv), 2_000_000):
@@ -598,14 +596,8 @@ def cone_assignments(decomp):
                                        (x0 + side, y0 + side),
                                        (x0, y0 + side))):
             angs[ci] = np.arctan2(cy - ay, cx - ax)
-        rel = (angs - angs[0] + math.pi) % two_pi - math.pi
-        rmin = rel.min(axis=0)
-        rmax = rel.max(axis=0)
-        amin = angs[0] + rmin
-        amax = angs[0] + rmax
-        j_lo = np.ceil((amax - EPS) / delta - 1.5).astype(np.int64)
-        j_hi = np.floor((amin + EPS) / delta + 0.5).astype(np.int64)
-        ok = ((rmax - rmin) < math.pi) & (j_hi >= j_lo)
+        j_lo, j_hi = cone_ranges(angs, k)
+        ok = j_hi >= j_lo
         counts = (j_hi - j_lo + 1)[ok]
         if len(counts) == 0:
             continue

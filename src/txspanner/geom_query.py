@@ -4,8 +4,11 @@ Both are baseline implementations behind small interfaces, so faster
 structures can replace them without touching callers. Correctness, not
 asymptotics, is the contract: answers must match a linear scan exactly
 (nearest-neighbor ties broken by smallest id, containment decided by the
-shared disk predicate). DiskContainment serves the geometric
-reachability oracle; no spanner builder uses DynamicNN any more.
+shared disk predicate). No code in the package uses either any more:
+the builders select edges with the shared containment sweep, and the
+geometric reachability oracle probes its cells with batched numpy
+arithmetic. Both stay as the tests' references and because the
+benchmark's trace mode wraps their methods by name.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ class DiskContainment:
     (r_s + EPS)^2 - |sq|^2 with subtree pruning via bounding boxes and
     the largest radius below each node. The radius is padded by the
     tolerance of `disk_contains`, so the maximizer contains q whenever
-    any site does.
+    any site does. `GeomOracle.probe` returns the same site per node;
+    the tests check it against this structure.
     """
 
     __slots__ = ("sites", "_tree")

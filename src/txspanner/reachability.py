@@ -15,13 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .core import (EPS, cell_of, cone_range_for_cell, disk_contains,
-                   normalize, spanner_parameters)
+# cone_range_for_cell is unused here but stays in this namespace: the
+# benchmark's trace mode wraps it in this module by name
+from .core import (EPS, cell_of, cone_range_for_cell, cone_ranges,
+                   disk_contains, normalize, spanner_parameters)
 from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
                             annulus_cell_count, build_quadforest,
                             derive_decomposition, near_cell_count)
-from .geom_query import DiskContainment
 from .oracle import materialize
+from .spanner import _csr, _expand
 
 
 class BaseOracle:
@@ -41,17 +43,17 @@ class BaseOracle:
         ncomp, labels = connected_components(graph.csr, directed=True,
                                              connection="strong")
         self.comp = labels
+        # condensation edges: distinct (source, target) component pairs
+        src = labels[np.repeat(np.arange(self.n), np.diff(graph.csr.indptr))]
+        dst = labels[graph.csr.indices]
+        cross = src != dst
+        cu, cv = np.divmod(
+            np.unique(src[cross].astype(np.int64) * ncomp + dst[cross]), ncomp)
+        indeg = np.bincount(cv, minlength=ncomp).tolist()
         # Python ints: the bitsets below shift by component labels
-        labels = labels.tolist()
-        succ = [set() for _ in range(ncomp)]
-        indeg = [0] * ncomp
-        for u in range(self.n):
-            cu = labels[u]
-            for v in graph.neighbors(u):
-                cv = labels[int(v)]
-                if cu != cv and cv not in succ[cu]:
-                    succ[cu].add(cv)
-                    indeg[cv] += 1
+        succ = [[] for _ in range(ncomp)]
+        for a, b in zip(cu.tolist(), cv.tolist()):
+            succ[a].append(b)
         order = [c for c in range(ncomp) if indeg[c] == 0]
         topo = []
         while order:
@@ -89,8 +91,15 @@ class CoverSet:
 
 
 class GeomOracle:
-    """Quadforest whose nodes carry disk-containment structures, plus a
-    base oracle; answers site-to-point reachability."""
+    """Quadforest over the sites plus a base oracle; answers site-to-point
+    reachability.
+
+    Per level, `level_sites[level]` is a CSR (ptr, members) of the site
+    indices of each node, in `decomp.level_arrays` node order. Probes read
+    the original coordinates (`site_x`, `site_y`), the padded radii
+    `site_rr` = r + EPS and the ids `site_id`, so their containment
+    verdicts are those of `disk_contains`.
+    """
 
     def __init__(self, sites, base=None, t=2.0):
         if t > 2.0 + 1e-12:
@@ -98,6 +107,9 @@ class GeomOracle:
         self.sites = list(sites)
         if not self.sites:
             raise ValueError("geometric oracle needs at least one site")
+        if base is not None and base.n != len(self.sites):
+            raise ValueError(f"base oracle covers {base.n} sites, the "
+                             f"geometric oracle {len(self.sites)}")
         self.params = spanner_parameters(t)
         self.base = base if base is not None else BaseOracle(sites)
         norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_RATIO],
@@ -108,11 +120,16 @@ class GeomOracle:
         roots = build_quadforest(norm, self.params)
         self.decomp = derive_decomposition(roots, self.params, VARIANT_RATIO,
                                            norm, materialize_neighbors=False)
-        # containment structures hold original coordinates so membership
-        # verdicts match the brute-force oracle exactly
-        self.pd = {v.id: DiskContainment([self.sites[i] for i in v.sites])
-                   for v in self.decomp.nodes}
-        self.depth = max(v.cell.level for v in self.decomp.nodes)
+        nodes = self.decomp.nodes
+        self.level_sites = {
+            lvl: _csr([nodes[i].sites for i in ids.tolist()])
+            for lvl, (ids, _, _, _) in self.decomp.level_arrays.items()}
+        self.site_x = np.array([s.x for s in self.sites], dtype=np.float64)
+        self.site_y = np.array([s.y for s in self.sites], dtype=np.float64)
+        self.site_rr = np.array([s.radius for s in self.sites],
+                                dtype=np.float64) + EPS
+        self.site_id = np.array([s.id for s in self.sites], dtype=np.int64)
+        self.depth = max(v.cell.level for v in nodes)
         # bounding box of all disks, padded past the containment tolerance
         # and float rounding, so points outside it lie in no disk
         box = (min(s.x - s.radius for s in sites),
@@ -125,7 +142,29 @@ class GeomOracle:
 
     @property
     def stored_site_refs(self):
-        return sum(len(v.sites) for v in self.decomp.nodes)
+        return sum(len(members) for _, members in self.level_sites.values())
+
+    def probe(self, level, pos, x, y):
+        """Per node at positions `pos` of `level`, the id of a site whose
+        disk contains (x, y), or -1.
+
+        Each node answers with its maximizer of ((r + EPS)^2 - d^2, -id),
+        accepted iff d^2 <= (r + EPS)^2: the arithmetic of `disk_contains`,
+        and the site `DiskContainment.query` returns.
+        """
+        ptr, members = self.level_sites[level]
+        counts = ptr[pos + 1] - ptr[pos]
+        owner, at = _expand(ptr[pos], counts)
+        m = members[at]
+        dx = x - self.site_x[m]
+        dy = y - self.site_y[m]
+        d2 = dx * dx + dy * dy
+        rr = self.site_rr[m]
+        rr2 = rr * rr
+        ids = self.site_id[m]
+        order = np.lexsort((ids, d2 - rr2, owner))
+        best = order[np.cumsum(counts) - counts]
+        return np.where(d2[best] <= rr2[best], ids[best], -1)
 
 
 def cover_set_bound(params):
@@ -133,13 +172,24 @@ def cover_set_bound(params):
     return near_cell_count(params.c) + params.k * annulus_cell_count(params.c)
 
 
+def _gap2(ix, iy, sigma):
+    """Squared gaps, in cell sides, from cell sigma to the same-level
+    cells (ix, iy)."""
+    gx = np.maximum(np.abs(ix - sigma.ix) - 1, 0)
+    gy = np.maximum(np.abs(iy - sigma.iy) - 1, 0)
+    return gx * gx + gy * gy
+
+
 def cover_set(oracle, point):
     """Cover set for an arbitrary plane point.
 
-    Phase 1 queries every nonempty level-0 cell within gap (c-2) of the
-    point's cell. Phase 2, per cone, climbs the levels and queries the
-    annulus cells inside the doubled cone, stopping the cone at the first
-    level that contributes a site. A point outside the bounding box of all
+    Phase 1 probes every nonempty level-0 cell within gap (c-2) of the
+    point's cell. Phase 2 climbs the levels for all k cones at once: per
+    level it probes, in one batch, the annulus cells of the point's cell
+    that lie in the doubled cone of a cone still searching. Every hit joins
+    the cover and stops each cone whose doubled cone holds its cell, so a
+    cone stops at its first level with a hit, after taking every hit of
+    that level in its doubled cone. A point outside the bounding box of all
     disks gets an empty cover; a non-finite point raises ValueError.
     """
     c = oracle.params.c
@@ -154,67 +204,59 @@ def cover_set(oracle, point):
     ty = y * oracle.scale + oracle.offset[1]
     lo2 = 2 * (c - 2) * (c - 2)
     hi2 = 8 * c * c
-    found = set()
-    phase1 = []
-    pd_cache = {}
-
-    def probe(node_id):
-        if node_id not in pd_cache:
-            s = oracle.pd[node_id].query(x, y)
-            pd_cache[node_id] = None if s is None else s.id
-        return pd_cache[node_id]
-
     arrays = oracle.decomp.level_arrays
+    phase1 = []
     if 0 in arrays:
-        ids, ix, iy, _ = arrays[0]
-        sigma = cell_of(tx, ty, 0)
-        gx = np.maximum(np.abs(ix - sigma.ix) - 1, 0)
-        gy = np.maximum(np.abs(iy - sigma.iy) - 1, 0)
-        g2 = gx * gx + gy * gy
-        for node_id in ids[g2 <= lo2].tolist():
-            q = probe(node_id)
-            if q is not None:
-                found.add(q)
-                phase1.append(q)
+        _, ix, iy, _ = arrays[0]
+        g2 = _gap2(ix, iy, cell_of(tx, ty, 0))
+        q = oracle.probe(0, np.flatnonzero(g2 <= lo2), x, y)
+        phase1 = q[q >= 0].tolist()
+    found = set(phase1)
 
-    per_level = []
+    active = np.ones(k, dtype=bool)
     for lvl in range(oracle.depth + 1):
         if lvl not in arrays:
-            per_level.append([])
             continue
-        ids, ix, iy, _ = arrays[lvl]
+        _, ix, iy, _ = arrays[lvl]
         sigma = cell_of(tx, ty, lvl)
-        gx = np.maximum(np.abs(ix - sigma.ix) - 1, 0)
-        gy = np.maximum(np.abs(iy - sigma.iy) - 1, 0)
-        g2 = gx * gx + gy * gy
-        mask = (g2 >= lo2) & (g2 < hi2)
-        apex = sigma.center()
-        cands = []
-        for node_id in ids[mask].tolist():
-            tau = oracle.decomp.nodes[node_id]
-            j_lo, j_hi = cone_range_for_cell(tau.cell, apex, k)
-            if j_lo <= j_hi:
-                cands.append((node_id, j_lo % k, j_hi - j_lo))
-        per_level.append(cands)
-
-    for cone in range(k):
-        for cands in per_level:
-            added = False
-            for node_id, j_lo, width in cands:
-                if (cone - j_lo) % k > width:
-                    continue
-                q = probe(node_id)
-                if q is not None:
-                    found.add(q)
-                    added = True
-            if added:
-                break
+        g2 = _gap2(ix, iy, sigma)
+        cand = np.flatnonzero((g2 >= lo2) & (g2 < hi2))
+        # annulus cells lie at least one side from the apex, so no corner
+        # coincides with it
+        side = sigma.side
+        ax, ay = sigma.center()
+        cx0 = ix[cand] * side
+        cy0 = iy[cand] * side
+        cx1 = (ix[cand] + 1) * side
+        cy1 = (iy[cand] + 1) * side
+        angs = np.empty((4, len(cand)))
+        for ci, (cx, cy) in enumerate(((cx0, cy0), (cx1, cy0), (cx1, cy1),
+                                       (cx0, cy1))):
+            angs[ci] = np.arctan2(cy - ay, cx - ax)
+        j_lo, j_hi = cone_ranges(angs, k)
+        # cones[a, w] is the w-th cone of candidate a's range, valid where
+        # w <= width[a]; a range spans a few cones, far fewer than k
+        width = j_hi - j_lo
+        offs = np.arange(int(width.max(initial=-1)) + 1)
+        cones = (j_lo[:, None] + offs) % k
+        valid = offs <= width[:, None]
+        live = (active[cones] & valid).any(axis=1)
+        cand, cones, valid = cand[live], cones[live], valid[live]
+        q = oracle.probe(lvl, cand, x, y)
+        hit = q >= 0
+        found.update(q[hit].tolist())
+        active[cones[hit][valid[hit]]] = False
+        if not active.any():
+            break
     return CoverSet(sorted(found), phase1)
 
 
 def geom_reach(oracle, s, point, explain=False):
     """Whether site s can reach the plane point, i.e. reach some site
-    whose disk contains it."""
+    whose disk contains it. Raises ValueError unless 0 <= s < n."""
+    if not 0 <= s < len(oracle.sites):
+        raise ValueError(f"source site {s} out of range for "
+                         f"{len(oracle.sites)} sites")
     cover = cover_set(oracle, point)
     hit = any(oracle.base.reach(s, q) for q in cover.sites)
     if explain:

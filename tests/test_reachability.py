@@ -3,10 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_instance
-from txspanner.core import disk_contains, make_sites
+from test_spanner import _clumped_instance
+from txspanner.core import (EPS, SQRT2, cell_of, cone_range_for_cell,
+                            disk_contains, make_sites)
+from txspanner.geom_query import DiskContainment
 from txspanner.oracle import materialize, reachable_from
 from txspanner.reachability import (BaseOracle, GeomOracle, cover_set,
                                     cover_set_bound, geom_reach,
@@ -70,9 +74,11 @@ def test_geom_oracle_unit_ratio_one_structure_per_cell():
     sites = random_instance(120, model="constant", seed=93)
     oracle = GeomOracle(sites)
     assert oracle.depth == 0
-    from txspanner.core import cell_of
     cells = {cell_of(s.x, s.y, 0) for s in oracle.norm}
-    assert len(oracle.pd) == len(cells)
+    ptr, members = oracle.level_sites[0]
+    assert list(oracle.level_sites) == [0]
+    assert len(ptr) - 1 == len(cells)
+    assert sorted(members.tolist()) == list(range(len(sites)))
 
 
 def test_geom_oracle_storage_bound():
@@ -90,6 +96,37 @@ def test_geom_oracle_rejects_large_stretch():
 def test_geom_oracle_rejects_empty_site_list():
     with pytest.raises(ValueError, match="at least one site"):
         GeomOracle([])
+
+
+def test_geom_oracle_rejects_base_of_other_size():
+    sites = random_instance(30, seed=108)
+    base = BaseOracle(sites[:20])
+    with pytest.raises(ValueError, match="20 sites.* 30"):
+        GeomOracle(sites, base=base)
+
+
+def test_probe_matches_disk_containment():
+    # duplicated sites tie on power: the smaller id must win, as in
+    # DiskContainment.query; the lone site at (0, -3) has the point
+    # (0.3 + EPS, -3) exactly on the boundary of its padded disk
+    rng = random.Random(109)
+    base = random_instance(60, model="pareto", seed=110)
+    sites = make_sites([(s.x, s.y, s.radius) for s in base]
+                       + [(s.x, s.y, s.radius) for s in base[:20]]
+                       + [(0.0, -3.0, 0.3)])
+    oracle = GeomOracle(sites)
+    pts = [(0.3 + EPS, -3.0)] + [(s.x, s.y) for s in sites[:25]]
+    pts += [(s.x + s.radius, s.y) for s in sites[:25]]
+    pts += [(rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2))
+            for _ in range(50)]
+    for lvl, (ids, _, _, _) in oracle.decomp.level_arrays.items():
+        pd = [DiskContainment([sites[i] for i in oracle.decomp.nodes[v].sites])
+              for v in ids.tolist()]
+        pos = np.arange(len(ids))
+        for x, y in pts:
+            want = [-1 if s is None else s.id
+                    for s in (d.query(x, y) for d in pd)]
+            assert oracle.probe(lvl, pos, x, y).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +173,115 @@ def test_cover_set_coverage_invariant():
     assert any(cover_sets)  # at least some queries produced non-empty covers
 
 
+def _cover_set_reference(oracle, pd, point):
+    """The cover set computed cone by cone, with one DiskContainment per
+    node (pd, by node id) and the scalar cone_range_for_cell."""
+    c = oracle.params.c
+    k = oracle.params.k
+    x, y = point
+    x0, y0, x1, y1 = oracle.disk_box
+    if not (x0 <= x <= x1 and y0 <= y <= y1):
+        return [], []
+    tx = x * oracle.scale + oracle.offset[0]
+    ty = y * oracle.scale + oracle.offset[1]
+    lo2 = 2 * (c - 2) * (c - 2)
+    hi2 = 8 * c * c
+    found = set()
+    phase1 = []
+
+    def probe(node_id):
+        s = pd[node_id].query(x, y)
+        return None if s is None else s.id
+
+    def gap2(lvl):
+        ids, ix, iy, _ = arrays[lvl]
+        sigma = cell_of(tx, ty, lvl)
+        gx = np.maximum(np.abs(ix - sigma.ix) - 1, 0)
+        gy = np.maximum(np.abs(iy - sigma.iy) - 1, 0)
+        return ids, gx * gx + gy * gy, sigma
+
+    arrays = oracle.decomp.level_arrays
+    if 0 in arrays:
+        ids, g2, _ = gap2(0)
+        for node_id in ids[g2 <= lo2].tolist():
+            q = probe(node_id)
+            if q is not None:
+                found.add(q)
+                phase1.append(q)
+    per_level = []
+    for lvl in range(oracle.depth + 1):
+        if lvl not in arrays:
+            per_level.append([])
+            continue
+        ids, g2, sigma = gap2(lvl)
+        cands = []
+        for node_id in ids[(g2 >= lo2) & (g2 < hi2)].tolist():
+            j_lo, j_hi = cone_range_for_cell(oracle.decomp.nodes[node_id].cell,
+                                             sigma.center(), k)
+            if j_lo <= j_hi:
+                cands.append((node_id, j_lo % k, j_hi - j_lo))
+        per_level.append(cands)
+    for cone in range(k):
+        for cands in per_level:
+            added = False
+            for node_id, j_lo, width in cands:
+                if (cone - j_lo) % k > width:
+                    continue
+                q = probe(node_id)
+                if q is not None:
+                    found.add(q)
+                    added = True
+            if added:
+                break
+    return sorted(found), phase1
+
+
+def _probe_points(oracle, rng, count):
+    """Random points near the sites plus points on cell boundaries of every
+    level, on the edge of the disk bounding box and far away."""
+    sites = oracle.sites
+    pts = [(rng.uniform(-0.3, 1.3), rng.uniform(-0.3, 1.3))
+           for _ in range(count)]
+    for s in rng.sample(sites, min(count, len(sites))):
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        pts.append((s.x, s.y))
+        pts.append((s.x + s.radius * math.cos(a), s.y + s.radius * math.sin(a)))
+    for lvl, (_, ix, iy, _) in oracle.decomp.level_arrays.items():
+        side = 2 ** lvl / SQRT2
+        for j in rng.sample(range(len(ix)), min(5, len(ix))):
+            # a corner and an edge midpoint of the cell, in original units
+            for u, v in ((ix[j], iy[j]), (ix[j] + 0.5, iy[j])):
+                pts.append(((u * side - oracle.offset[0]) / oracle.scale,
+                            (v * side - oracle.offset[1]) / oracle.scale))
+    x0, y0, x1, y1 = oracle.disk_box
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    pts += [(x0, ym), (x1, ym), (xm, y0), (xm, y1), (x0, y0), (x1, y1),
+            (math.nextafter(x0, -math.inf), ym),
+            (xm, math.nextafter(y1, math.inf)),
+            (1e18, ym), (xm, -1e300)]
+    return pts
+
+
+@pytest.mark.parametrize("instance", ["constant", "uniform", "pareto",
+                                      "clumped"])
+def test_cover_set_matches_reference(instance):
+    rng = random.Random(111)
+    if instance == "clumped":
+        sites = _clumped_instance(3)
+    else:
+        sites = random_instance(150, model=instance, seed=112, psi_cap=16.0)
+    oracle = GeomOracle(sites)
+    pd = {v.id: DiskContainment([sites[i] for i in v.sites])
+          for v in oracle.decomp.nodes}
+    nonempty = 0
+    for pt in _probe_points(oracle, rng, 60):
+        cover = cover_set(oracle, pt)
+        assert (cover.sites, cover.phase1) == \
+            _cover_set_reference(oracle, pd, pt), pt
+        nonempty += len(cover) > 0
+    assert nonempty >= 60
+
+
 # ---------------------------------------------------------------------------
 # geometric reachability
 
@@ -169,6 +315,14 @@ def test_cover_set_rejects_non_finite_point(point):
     oracle = GeomOracle(random_instance(30, model="uniform", seed=107))
     with pytest.raises(ValueError, match="must be finite"):
         cover_set(oracle, point)
+
+
+@pytest.mark.parametrize("s", [-1, 40, 10 ** 9])
+def test_geom_reach_rejects_source_out_of_range(s):
+    sites = random_instance(40, model="uniform", seed=113)
+    oracle = GeomOracle(sites)
+    with pytest.raises(ValueError, match="out of range"):
+        geom_reach(oracle, s, (sites[0].x, sites[0].y))
 
 
 def test_geom_reach_explain_returns_cover():
