@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                   MODE_SMALLEST_RADIUS, SQRT2, GridCell, cell_distance,
+                   MODE_SMALLEST_RADIUS, SQRT2, GridCell,
                    cell_of, closest_pair, cone_ranges,
                    same_level_gap_sq)
 
@@ -301,47 +301,104 @@ def build_compressed_quadtree(sites, params):
     return root
 
 
+# pairs per batch of the WSPD frontier and of the augmentation: small
+# enough for the float intermediates to stay in cache
+_WSPD_CHUNK = 1 << 14
+
+
+def _wspd_cells(nodes):
+    """Level, ix and iy arrays of the nodes' wspd_cell, in `nodes` order,
+    and the cells' bounds (x0, y0, x1, y1) in GridCell.bounds arithmetic."""
+    cells = [v.wspd_cell for v in nodes]
+    lvl = np.array([g.level for g in cells], dtype=np.int64)
+    ix = np.array([g.ix for g in cells], dtype=np.int64)
+    iy = np.array([g.iy for g in cells], dtype=np.int64)
+    side = np.ldexp(1.0, lvl) / SQRT2
+    return lvl, ix, iy, (ix * side, iy * side, (ix + 1) * side, (iy + 1) * side)
+
+
+def _pair_distance(bounds, v, w):
+    """cell_distance between the cells of nodes v[i] and w[i], plus the
+    per-axis gaps it was taken from; the float arithmetic of
+    cell_distance, with np.hypot in place of math.hypot."""
+    x0, y0, x1, y1 = bounds
+    dx = np.maximum(np.maximum(x0[v] - x1[w], x0[w] - x1[v]), 0.0)
+    dy = np.maximum(np.maximum(y0[v] - y1[w], y0[w] - y1[v]), 0.0)
+    return np.hypot(dx, dy), dx, dy
+
+
 def compute_wspd(root, c):
     """c-well-separated pair decomposition over a compressed quadtree.
 
-    Returns unordered node pairs (v, w) such that every ordered site pair
-    is covered by exactly one of them and
-    c * max(diam(v), diam(w)) <= d(v, w) for each, where single-site
-    leaves count with their point cell (diameter 1).
+    Returns an (m, 2) int64 array of unordered node pairs, as ids of
+    collect_nodes(root), such that every ordered site pair is covered by
+    exactly one of them and c * max(diam(v), diam(w)) <= d(v, w) for
+    each, where single-site leaves count with their point cell (diameter
+    1). The pair frontier, seeded with all sibling pairs, is processed in
+    numpy batches: a pair is kept once separated; otherwise the side with
+    the larger diameter (w on ties) is replaced by its children, a
+    childless side is never split, and two leaves form a pair.
     """
-    pairs = []
-    split_stack = []
-    walk = [root]
-    while walk:
-        v = walk.pop()
-        ch = v.children
-        walk.extend(ch)
-        for a in range(len(ch)):
-            for b in range(a + 1, len(ch)):
-                split_stack.append((ch[a], ch[b]))
-    while split_stack:
-        v, w = split_stack.pop()
-        cv = v.wspd_cell
-        cw = w.wspd_cell
-        if cell_distance(cv, cw) >= c * max(cv.diameter, cw.diameter):
-            pairs.append((v, w))
-            continue
-        # split the larger side; a childless side cannot be split
-        split_w = cw.diameter >= cv.diameter
-        if split_w and not w.children:
-            split_w = False
-        if not split_w and not v.children:
-            split_w = True
-        if split_w and w.children:
-            for u in w.children:
-                split_stack.append((v, u))
-        elif v.children:
-            for u in v.children:
-                split_stack.append((u, w))
-        else:
-            # two singleton leaves; their point cells are always
-            # separated after closest-pair normalization
-            pairs.append((v, w))
+    nodes = collect_nodes(root)
+    lvl, _, _, bounds = _wspd_cells(nodes)
+    cdiam = c * np.ldexp(1.0, lvl)
+    # children as rows of a -1-padded table (quadtree nodes have at most 4)
+    kids = np.full((len(nodes), 4), -1, dtype=np.int64)
+    for v in nodes:
+        kids[v.id, :len(v.children)] = [u.id for u in v.children]
+    leaf = kids[:, 0] < 0
+
+    sibling = np.array([(ch[a].id, ch[b].id)
+                        for ch in (v.children for v in nodes)
+                        for a in range(len(ch)) for b in range(a + 1, len(ch))],
+                       dtype=np.int64).reshape(-1, 2)
+    pending = [(sibling[:, 0], sibling[:, 1])]
+    # kept as int32 until the int64 result is assembled, which halves
+    # their share of the peak when nearly all site pairs are listed
+    out_v = []
+    out_w = []
+    while pending:
+        # one batch of up to _WSPD_CHUNK pairs from the top of the stack
+        v, w = pending.pop()
+        while pending and len(v) + len(pending[-1][0]) <= _WSPD_CHUNK:
+            pv, pw = pending.pop()
+            v, w = np.concatenate((v, pv)), np.concatenate((w, pw))
+        if len(v) > _WSPD_CHUNK:
+            pending.append((v[_WSPD_CHUNK:], w[_WSPD_CHUNK:]))
+            v, w = v[:_WSPD_CHUNK], w[:_WSPD_CHUNK]
+        cv, cw = cdiam[v], cdiam[w]
+        thr = np.maximum(cv, cw)
+        d, dx, dy = _pair_distance(bounds, v, w)
+        # np.hypot may differ from math.hypot by one ulp: redo the
+        # distances whose last bit could decide the test
+        tie = np.flatnonzero(np.abs(d - thr) <= 1e-12 * thr)
+        d[tie] = [math.hypot(a, b) for a, b in
+                  zip(dx[tie].tolist(), dy[tie].tolist())]
+        leaf_v, leaf_w = leaf[v], leaf[w]
+        # two leaves form a pair whether separated or not (their point
+        # cells always are, after closest-pair normalization)
+        done = (d >= thr) | (leaf_v & leaf_w)
+        out_v.append(v[done].astype(np.int32))
+        out_w.append(w[done].astype(np.int32))
+        split_w = ~done & ~leaf_w & ((cw >= cv) | leaf_v)
+        split_v = ~done & ~split_w
+        for rows, col in ((split_w, 1), (split_v, 0)):
+            if not rows.any():
+                continue
+            # each pair once per child of its side `col`, in that side's place
+            child = kids[(v, w)[col][rows]].ravel()
+            fixed = np.repeat((w, v)[col][rows], 4)
+            pair = (child, fixed) if col == 0 else (fixed, child)
+            real = child >= 0
+            # pairs of two leaves are kept without a distance test
+            two = real & leaf[child] & leaf[fixed]
+            out_v.append(pair[0][two].astype(np.int32))
+            out_w.append(pair[1][two].astype(np.int32))
+            more = real & ~two
+            pending.append((pair[0][more], pair[1][more]))
+    pairs = np.empty((sum(len(a) for a in out_v), 2), dtype=np.int64)
+    np.concatenate(out_v, out=pairs[:, 0])
+    np.concatenate(out_w, out=pairs[:, 1])
     return pairs
 
 
@@ -352,36 +409,66 @@ def _pow2_floor_level(r):
 def augment_with_wspd(root, wspd, params, sites):
     """Insert the cells that make the compressed quadtree a valid basis
     for the annulus decomposition (one pair of equal-diameter cells per
-    WSPD pair, duplicates merged), and rebuild the tree around them."""
+    WSPD pair, duplicates merged), and rebuild the tree around them.
+
+    wspd is compute_wspd's (m, 2) array of collect_nodes(root) ids. Per
+    pair, r = min(d / c, both parents' diameters) is computed as a vector;
+    each side inserts its wspd_cell raised to level floor(log2 r), clamped
+    to [its own level, its parent's level]. That cell is fixed by the
+    node and the level, so the pairs only mark (node, level) entries of
+    a bitmap; the marked cells and the tree's own are deduplicated with
+    one lexsort. Leaf site lists come from bucketing the sites once per
+    leaf level.
+    """
     c = params.c
-    cells = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        cells[(v.cell.level, v.cell.ix, v.cell.iy)] = v.cell
-        stack.extend(v.children)
-    for v, w in wspd:
-        d = cell_distance(v.wspd_cell, w.wspd_cell)
-        r = min(d / c, v.parent.cell.diameter, w.parent.cell.diameter)
-        lr = _pow2_floor_level(r)
-        for node in (v, w):
-            base = node.wspd_cell
-            lvl = min(max(lr, base.level), node.parent.cell.level)
-            cell = base.parent_at(lvl)
-            cells.setdefault((cell.level, cell.ix, cell.iy), cell)
+    nodes = collect_nodes(root)
+    lvl, ix, iy, bounds = _wspd_cells(nodes)
+    plvl = np.array([v.parent.cell.level if v.parent is not None
+                     else v.cell.level for v in nodes], dtype=np.int64)
+    pdiam = np.ldexp(1.0, plvl)
+    # an inserted cell is fixed by its node and level: mark those first
+    span = int(plvl.max()) + 1
+    raised = np.zeros(len(nodes) * span, dtype=bool)
+    wspd = np.asarray(wspd, dtype=np.int64).reshape(-1, 2)
+    for lo in range(0, len(wspd), _WSPD_CHUNK):
+        v = wspd[lo:lo + _WSPD_CHUNK, 0]
+        w = wspd[lo:lo + _WSPD_CHUNK, 1]
+        pd = np.minimum(pdiam[v], pdiam[w])
+        d, dx, dy = _pair_distance(bounds, v, w)
+        # r = frac * 2**e with frac in [0.5, 1), so floor(log2 r) = e - 1;
+        # _pow2_floor_level differs from that only for frac within
+        # ~1e-12 of 1, where np.hypot's last bit could matter too: those
+        # rows are redone in math
+        frac, e = np.frexp(np.minimum(d / c, pd))
+        lr = e.astype(np.int64) - 1
+        for i in np.flatnonzero(frac > 1.0 - 1e-11).tolist():
+            r = min(math.hypot(float(dx[i]), float(dy[i])) / c, float(pd[i]))
+            lr[i] = _pow2_floor_level(r)
+        for side in (v, w):
+            up = np.minimum(np.maximum(lr, lvl[side]), plvl[side])
+            raised[side * span + up] = True
+    node_of, level_of = np.divmod(np.flatnonzero(raised), span)
+    shift = level_of - lvl[node_of]
+    cells = np.stack((
+        np.concatenate(([v.cell.level for v in nodes], level_of)),
+        np.concatenate(([v.cell.ix for v in nodes], ix[node_of] >> shift)),
+        np.concatenate(([v.cell.iy for v in nodes], iy[node_of] >> shift))))
+    # distinct (level, ix, iy) keys in descending order
+    cells = cells[:, np.lexsort(cells[::-1])[::-1]]
+    fresh = np.ones(cells.shape[1], dtype=bool)
+    fresh[1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=0)
     # rebuild: parent of each cell = nearest strict ancestor present
-    by_key = dict(cells)
     new_nodes = {}
-    for key in sorted(by_key, reverse=True):
-        new_nodes[key] = QuadNode(by_key[key], [])
-    top_level = max(k[0] for k in by_key)
+    for key in zip(*cells[:, fresh].tolist()):
+        new_nodes[key] = QuadNode(GridCell(*key), [])
+    top_level = int(cells[0, 0])
     roots = []
     for key, node in new_nodes.items():
-        level, ix, iy = key
+        level, kx, ky = key
         parent = None
-        for lvl in range(level + 1, top_level + 1):
-            shift = lvl - level
-            pk = (lvl, ix >> shift, iy >> shift)
+        for up in range(level + 1, top_level + 1):
+            shift = up - level
+            pk = (up, kx >> shift, ky >> shift)
             if pk in new_nodes:
                 parent = new_nodes[pk]
                 break
@@ -393,12 +480,23 @@ def augment_with_wspd(root, wspd, params, sites):
     if len(roots) != 1:
         raise AssertionError("augmented tree must keep a single root")
     new_root = roots[0]
-    # site lists bottom-up; leaves of the rebuilt tree are original leaves
-    for node in sorted(new_nodes.values(), key=lambda v: v.cell.level):
+    # leaves of the rebuilt tree are original leaves; each takes the sites
+    # of its cell in index order, placed with cell_of's arithmetic in one
+    # pass over the sites per leaf level
+    xs = np.array([s.x for s in sites], dtype=np.float64)
+    ys = np.array([s.y for s in sites], dtype=np.float64)
+    leaves = {}
+    for key, node in new_nodes.items():
         if node.is_leaf():
-            node.sites = [i for i in range(len(sites))
-                          if cell_of(sites[i].x, sites[i].y, node.cell.level) == node.cell]
-        else:
+            leaves.setdefault(key[0], {})[key[1:]] = node
+    for level, at in leaves.items():
+        side = 2 ** level / SQRT2
+        for i, key in enumerate(zip(np.floor(xs / side).astype(np.int64).tolist(),
+                                    np.floor(ys / side).astype(np.int64).tolist())):
+            if key in at:
+                at[key].sites.append(i)
+    for node in sorted(new_nodes.values(), key=lambda v: v.cell.level):
+        if not node.is_leaf():
             node.sites = [i for w in node.children for i in w.sites]
     collect_nodes(new_root)
     return new_root

@@ -72,7 +72,11 @@ class BaseOracle:
         self._bits = bits
 
     def reach(self, s, q):
-        """True iff a directed path s to q exists (s reaches itself)."""
+        """True iff a directed path s to q exists (s reaches itself).
+        Raises ValueError unless 0 <= s, q < n."""
+        if not (0 <= s < self.n and 0 <= q < self.n):
+            raise ValueError(f"site pair ({s}, {q}) out of range for "
+                             f"{self.n} sites")
         cs = int(self.comp[s])
         cq = int(self.comp[q])
         return bool((self._bits[cs] >> cq) & 1)

@@ -34,8 +34,8 @@ from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      VARIANT_SPREAD,
                                      build_compressed_quadtree,
                                      build_hierarchy,
-                                     check_decomposition, compute_wspd,
-                                     derive_decomposition,
+                                     check_decomposition, collect_nodes,
+                                     compute_wspd, derive_decomposition,
                                      partition_components)
 from txspanner.oracle import audit_stretch, bfs_oracle, materialize
 from txspanner.reachability import GeomOracle, cover_set, cover_set_bound
@@ -214,9 +214,11 @@ def test_criterion_06_wspd():
         norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, params.c)
         root = build_compressed_quadtree(norm, params)
         pairs = compute_wspd(root, params.c)
+        nodes = collect_nodes(root)
         n = len(norm)
         count = np.zeros((n, n), dtype=np.int32)
-        for v, w in pairs:
+        for a, b in pairs.tolist():
+            v, w = nodes[a], nodes[b]
             cv, cw = v.wspd_cell, w.wspd_cell
             if cell_distance(cv, cw) < \
                     params.c * max(cv.diameter, cw.diameter) - 1e-9:

@@ -3,15 +3,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import normalized_for, random_instance
+from test_spanner import _clumped_instance
+from txspanner.cli import generate_sites
 from txspanner.core import (MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
                             MODE_SMALLEST_RADIUS, SQRT2, cell_distance,
                             cell_of, make_sites, normalize,
                             spanner_parameters)
 from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
-                                     VARIANT_SPREAD, annulus_cell_count,
+                                     VARIANT_SPREAD, QuadNode,
+                                     annulus_cell_count,
                                      augment_with_wspd,
                                      build_compressed_quadtree,
                                      build_hierarchy, build_quadforest,
@@ -208,6 +212,8 @@ def test_wspd_two_sites_single_pair():
     root = build_compressed_quadtree(norm, PARAMS)
     pairs = compute_wspd(root, PARAMS.c)
     assert len(pairs) == 1
+    nodes = collect_nodes(root)
+    assert sorted(i for a in pairs[0].tolist() for i in nodes[a].sites) == [0, 1]
 
 
 def test_wspd_coverage_and_separation():
@@ -215,9 +221,11 @@ def test_wspd_coverage_and_separation():
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, PARAMS.c)
     root = build_compressed_quadtree(norm, PARAMS)
     pairs = compute_wspd(root, PARAMS.c)
+    nodes = collect_nodes(root)
     n = len(norm)
     covered = [[0] * n for _ in range(n)]
-    for v, w in pairs:
+    for a, b in pairs.tolist():
+        v, w = nodes[a], nodes[b]
         cv, cw = v.wspd_cell, w.wspd_cell
         assert cell_distance(cv, cw) >= \
             PARAMS.c * max(cv.diameter, cw.diameter) - 1e-9
@@ -239,6 +247,156 @@ def test_augment_node_budget():
     new_root = augment_with_wspd(root, wspd, PARAMS, norm)
     after = len(collect_nodes(new_root))
     assert after <= before + 2 * len(wspd)
+
+
+# Reference oracles: per-pair Python forms of compute_wspd and
+# augment_with_wspd; the array forms must give the same pairs and trees.
+
+def _compute_wspd_reference(root, c):
+    pairs = []
+    split_stack = []
+    walk = [root]
+    while walk:
+        v = walk.pop()
+        ch = v.children
+        walk.extend(ch)
+        for a in range(len(ch)):
+            for b in range(a + 1, len(ch)):
+                split_stack.append((ch[a], ch[b]))
+    while split_stack:
+        v, w = split_stack.pop()
+        cv = v.wspd_cell
+        cw = w.wspd_cell
+        if cell_distance(cv, cw) >= c * max(cv.diameter, cw.diameter):
+            pairs.append((v, w))
+            continue
+        split_w = cw.diameter >= cv.diameter
+        if split_w and not w.children:
+            split_w = False
+        if not split_w and not v.children:
+            split_w = True
+        if split_w and w.children:
+            for u in w.children:
+                split_stack.append((v, u))
+        elif v.children:
+            for u in v.children:
+                split_stack.append((u, w))
+        else:
+            pairs.append((v, w))
+    return pairs
+
+
+def _augment_with_wspd_reference(root, wspd, params, sites):
+    c = params.c
+    cells = {}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        cells[(v.cell.level, v.cell.ix, v.cell.iy)] = v.cell
+        stack.extend(v.children)
+    for v, w in wspd:
+        d = cell_distance(v.wspd_cell, w.wspd_cell)
+        r = min(d / c, v.parent.cell.diameter, w.parent.cell.diameter)
+        lr = int(math.floor(math.log2(r) + 1e-12))
+        for node in (v, w):
+            base = node.wspd_cell
+            lvl = min(max(lr, base.level), node.parent.cell.level)
+            cell = base.parent_at(lvl)
+            cells.setdefault((cell.level, cell.ix, cell.iy), cell)
+    by_key = dict(cells)
+    new_nodes = {}
+    for key in sorted(by_key, reverse=True):
+        new_nodes[key] = QuadNode(by_key[key], [])
+    top_level = max(k[0] for k in by_key)
+    roots = []
+    for key, node in new_nodes.items():
+        level, ix, iy = key
+        parent = None
+        for lvl in range(level + 1, top_level + 1):
+            shift = lvl - level
+            pk = (lvl, ix >> shift, iy >> shift)
+            if pk in new_nodes:
+                parent = new_nodes[pk]
+                break
+        if parent is None:
+            roots.append(node)
+        else:
+            node.parent = parent
+            parent.children.append(node)
+    assert len(roots) == 1
+    new_root = roots[0]
+    for node in sorted(new_nodes.values(), key=lambda v: v.cell.level):
+        if node.is_leaf():
+            node.sites = [i for i in range(len(sites))
+                          if cell_of(sites[i].x, sites[i].y, node.cell.level) == node.cell]
+        else:
+            node.sites = [i for w in node.children for i in w.sites]
+    collect_nodes(new_root)
+    return new_root
+
+
+def _tree_signature(root):
+    """Per node in collect_nodes order: cell, parent cell, child cells in
+    child order, and site list."""
+    key = lambda v: None if v is None else (v.cell.level, v.cell.ix, v.cell.iy)
+    return [(key(v), key(v.parent), [key(u) for u in v.children], v.sites)
+            for v in collect_nodes(root)]
+
+
+# The level-7 cells of the two pairs lie 69 cells apart on both axes, so
+# cell_distance is exactly c * 128 = 8704: separated, with no split. The
+# sites sit on integer points with closest pair 70 = c + 2, so normalizing
+# leaves their coordinates unchanged.
+_TIE_SITES = [(0.0, 0.0, 1.0), (70.0, 0.0, 1.0),
+              (6246.0, 6246.0, 1.0), (6316.0, 6246.0, 1.0)]
+
+_PINNED_INSTANCES = {
+    "clustered-400": lambda: generate_sites(400, "clustered", "pareto", 101, 8.0),
+    "uniform-300-601": lambda: generate_sites(300, "uniform-square", "uniform", 601),
+    "uniform-300-602": lambda: generate_sites(300, "uniform-square", "uniform", 602),
+    "uniform-300-603": lambda: generate_sites(300, "uniform-square", "uniform", 603),
+    "two-sites": lambda: make_sites([(0.0, 0.0, 1.0), (3.0, 0.0, 1.0)]),
+    "clumped-3": lambda: _clumped_instance(3),
+    "lattice-tie": lambda: make_sites(_TIE_SITES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_INSTANCES))
+def test_wspd_and_augmentation_match_reference(name):
+    norm, _, _ = normalize(_PINNED_INSTANCES[name](), MODE_CLOSEST_PAIR_C2,
+                           PARAMS.c)
+    root = build_compressed_quadtree(norm, PARAMS)
+    ref = _compute_wspd_reference(root, PARAMS.c)
+    pairs = compute_wspd(root, PARAMS.c)
+    assert pairs.dtype == np.int64 and pairs.shape == (len(ref), 2)
+    got = {frozenset(p) for p in pairs.tolist()}
+    assert len(got) == len(pairs)
+    assert got == {frozenset((v.id, w.id)) for v, w in ref}
+    if name == "lattice-tie":
+        assert [(p.x, p.y) for p in norm] == [(x, y) for x, y, _ in _TIE_SITES]
+        ties = [(v, w) for v, w in ref if v.children and w.children and
+                cell_distance(v.wspd_cell, w.wspd_cell)
+                == PARAMS.c * max(v.wspd_cell.diameter, w.wspd_cell.diameter)]
+        assert len(ties) == 1
+    expect = _tree_signature(
+        _augment_with_wspd_reference(root, ref, PARAMS, norm))
+    assert _tree_signature(augment_with_wspd(root, pairs, PARAMS, norm)) \
+        == expect
+
+
+def test_wspd_tie_holds_when_np_hypot_rounds_low(monkeypatch):
+    # np.hypot may differ from math.hypot by one ulp; distances this close
+    # to c * diam are redone with math.hypot, so a low np.hypot cannot
+    # split the tie pair
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot",
+                        lambda a, b: np.nextafter(hypot(a, b), 0.0))
+    norm, _, _ = normalize(make_sites(_TIE_SITES), MODE_CLOSEST_PAIR_C2,
+                           PARAMS.c)
+    root = build_compressed_quadtree(norm, PARAMS)
+    ref = _compute_wspd_reference(root, PARAMS.c)
+    assert {frozenset(p) for p in compute_wspd(root, PARAMS.c).tolist()} \
+        == {frozenset((v.id, w.id)) for v, w in ref}
 
 
 # ---------------------------------------------------------------------------

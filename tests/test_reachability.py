@@ -53,6 +53,17 @@ def test_base_many_components():
     assert base.reach(29, 29) and not base.reach(0, 29)
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 10 ** 9])
+def test_base_reach_rejects_site_out_of_range(bad):
+    # a negative site must not wrap around to the last one
+    sites = make_sites([(0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (10.0, 0.0, 1.0)])
+    base = BaseOracle(sites)
+    with pytest.raises(ValueError, match="out of range"):
+        base.reach(bad, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        base.reach(0, bad)
+
+
 def test_base_matches_bfs_oracle():
     rng = random.Random(91)
     sites = random_instance(200, model="pareto", seed=92)

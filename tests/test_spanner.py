@@ -413,6 +413,15 @@ def test_shorter_edge_constructed(variant):
     assert verify_shorter_edge(sites, H) == []
 
 
+def test_general_scale_guard():
+    # n = 2000 makes the WSPD list nearly every site pair (about 1.9M at
+    # t = 2), the size at which a per-pair Python WSPD took half a minute
+    sites = random_instance(2000, model="pareto", seed=74, psi_cap=16.0)
+    H = build_spanner_general(sites, 2.0)
+    assert H.n == 2000 and len(H.edge_set()) == H.m
+    assert verify_shorter_edge(sites, H) == []
+
+
 def test_shorter_edge_negative_control():
     # two sites, a single directed transmission edge and an empty spanner:
     # the missing edge has no witness
