@@ -1,7 +1,8 @@
 """Exact BFS (hop-distance) trees over the spanner.
 
 The transmission graph itself is never materialized: each layer is grown
-along spanner edges in rounds over numpy arrays, and a power matrix of
+along the spanner's out-adjacency arrays (`SpannerGraph.out_csr`) in
+rounds over numpy arrays, and a power matrix of
 the candidates against the previous layer's disks decides which of them
 join it (no kd-tree). Correct for spanners with stretch at most 2.
 """
@@ -22,22 +23,24 @@ _BLOCK = 1 << 16  # power-matrix entries per row block (512 KB of float64)
 class BfsResult:
     """Hop distances, predecessor tree and layers of one BFS run.
 
-    `scans[p]` counts how often p's out-edges were relaxed; `edges` are
-    the spanner's, from which `relax_counts` is derived on demand.
+    `scans[p]` counts how often p's out-edges were relaxed; `csr` is the
+    spanner's out-adjacency (indptr, targets), from which `relax_counts`
+    is derived on demand.
     """
 
     dist: list
     parent: list
     layers: list
-    scans: list = field(default_factory=list, repr=False)
-    edges: list = field(default_factory=list, repr=False)
+    scans: list = field(repr=False)
+    csr: tuple = field(repr=False)
 
     @property
     def relax_counts(self):
         """Times each spanner edge (p, q) was relaxed, for relaxed edges."""
+        indptr, targets = self.csr
         counts = {}
-        for p, q, _ in self.edges:
-            if self.scans[p]:
+        for p in np.flatnonzero(self.scans).tolist():
+            for q in targets[indptr[p]:indptr[p + 1]].tolist():
                 counts[(p, q)] = counts.get((p, q), 0) + self.scans[p]
         return counts
 
@@ -140,4 +143,4 @@ def bfs_tree(sites, H, root):
         [math.inf if d < 0 else d for d in dist.tolist()],
         [None if p < 0 else p for p in parent.tolist()],
         [layer.tolist() for layer in layers],
-        scans.tolist(), H.edges)
+        scans.tolist(), H.out_csr)

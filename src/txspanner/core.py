@@ -281,8 +281,8 @@ def params_satisfy(t, k, c):
 
 def spanner_parameters(t):
     """Smallest integers k, then c, satisfying all constraints for stretch t."""
-    if not t > 1.0:
-        raise ValueError(f"stretch must exceed 1, got {t}")
+    if not (math.isfinite(t) and t > 1.0):
+        raise ValueError(f"stretch must be finite and exceed 1, got {t}")
     k = max(25, math.ceil(16.0 * math.pi * t / (t - 1.0)))
     while True:
         cos8 = math.cos(8.0 * math.pi / k)

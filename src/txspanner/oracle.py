@@ -76,13 +76,10 @@ def materialize(sites):
 
 
 def spanner_csr(H):
-    """Sparse matrix form of a SpannerGraph (duck-typed: .n, .edges)."""
-    if not H.edges:
-        return csr_matrix((H.n, H.n))
-    src = np.array([e[0] for e in H.edges])
-    dst = np.array([e[1] for e in H.edges])
-    w = np.maximum(np.array([e[2] for e in H.edges], dtype=np.float64), 1e-300)
-    return csr_matrix((w, (src, dst)), shape=(H.n, H.n))
+    """Sparse matrix form of a SpannerGraph (duck-typed: .n and the edge
+    arrays .src, .dst, .length)."""
+    w = np.maximum(H.length, 1e-300)
+    return csr_matrix((w, (H.src, H.dst)), shape=(H.n, H.n))
 
 
 def dijkstra_all(graph, source=None):

@@ -10,14 +10,15 @@ is decided by one batched numpy containment test against a
 (cones x sites) activity matrix, except rows whose cell offers many disks
 to many targets, which select over the lower envelope of the disk caps
 below a separating line. The builders hand the selected (source, target,
-cone) arrays to one finishing step that sorts them into the edge list
-and the per-edge cone lists.
+cone) arrays to one finishing step that sorts them into the arrays of a
+`SpannerGraph`: the distinct edges by (source, target) with their
+lengths, and a CSR of the cones that selected each edge. No step creates
+a Python object per edge; `SpannerGraph.edges` and `.edge_cones` build
+tuple and dict views only when a caller reads them.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import itertools
 import math
 
@@ -38,64 +39,126 @@ INF = math.inf
 
 
 class SpannerGraph:
-    """Directed sparse subgraph H of the transmission graph.
+    """Directed sparse subgraph H of the transmission graph, as arrays.
 
-    Edges are (source, target, Euclidean length) in the original input
-    coordinates. Normalization metadata (variant, scale, offset) is kept
+    Edge i runs from `src[i]` to `dst[i]` (int64) and has Euclidean length
+    `length[i]` (float64) in the original input coordinates. Edges are
+    sorted by source; a builder's are sorted by (source, target) and
+    distinct. `indptr` indexes them by source, so the targets of u are
+    `dst[indptr[u]:indptr[u + 1]]`. A builder also records the cones that
+    selected each edge as a CSR, `cone_ids[cone_ptr[i]:cone_ptr[i + 1]]`
+    (ascending; empty for an edge no cone selected); a graph loaded from a
+    file, or built on fewer than two sites, has none. Normalization metadata (variant, scale, offset) is kept
     in memory so verification can reconstruct the construction's grid.
+
+    `edges` and `edge_cones` are the same data as Python tuples and
+    lists, built on first read and cached, for callers outside the
+    package; nothing inside it reads them.
     """
 
-    def __init__(self, n, edges, t, params=None, variant=None,
-                 scale=1.0, offset=(0.0, 0.0), edge_cones=None):
+    def __init__(self, n, src, dst, length, t, params=None, variant=None,
+                 scale=1.0, offset=(0.0, 0.0), cone_ptr=None, cone_ids=None):
         self.n = n
-        self.edges = edges
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.length = np.asarray(length, dtype=np.float64)
+        if np.any(self.src[1:] < self.src[:-1]):
+            raise ValueError("spanner edges must be sorted by source")
         self.t = float(t)
         self.params = params
         self.variant = variant
         self.scale = scale
         self.offset = offset
-        self.edge_cones = edge_cones
+        self.cone_ptr = cone_ptr
+        self.cone_ids = cone_ids
+        self._indptr = None
         self._in = None
-        self._out_csr = None
+        self._edges = None
+        self._edge_cones = None
+
+    @classmethod
+    def from_edges(cls, n, edges, t, params=None, variant=None, scale=1.0,
+                   offset=(0.0, 0.0)):
+        """Graph of (source, target, length) triples in any order. A
+        stable sort on source orders them, so the edges of one source keep
+        their given order."""
+        m = len(edges)
+        src = np.fromiter((e[0] for e in edges), np.int64, m)
+        order = np.argsort(src, kind="stable")
+        dst = np.fromiter((e[1] for e in edges), np.int64, m)
+        length = np.fromiter((e[2] for e in edges), np.float64, m)
+        return cls(n, src[order], dst[order], length[order], t, params,
+                   variant, scale, offset)
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self.src)
 
-    def in_edges(self, v):
-        """Incoming (source, length) pairs of site v."""
-        if self._in is None:
-            self._in = [[] for _ in range(self.n)]
-            for u, dst, w in self.edges:
-                self._in[dst].append((u, w))
-        return self._in[v]
+    @property
+    def indptr(self):
+        # built on first read, so that a file header's n costs nothing
+        # before a caller has checked it against its sites
+        if self._indptr is None:
+            self._indptr = np.searchsorted(self.src, np.arange(self.n + 1))
+        return self._indptr
 
     @property
     def out_csr(self):
         """Out-adjacency as (indptr, targets) arrays: the targets of u are
-        targets[indptr[u]:indptr[u + 1]], in `edges` order."""
-        if self._out_csr is None:
-            m = len(self.edges)
-            src = np.fromiter((u for u, _, _ in self.edges), np.int64, m)
-            dst = np.fromiter((v for _, v, _ in self.edges), np.int64, m)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
-            self._out_csr = (indptr, dst[np.argsort(src, kind="stable")])
-        return self._out_csr
+        targets[indptr[u]:indptr[u + 1]], in edge order."""
+        return self.indptr, self.dst
 
-    def edge_set(self):
-        return {(u, v) for u, v, _ in self.edges}
+    def in_edges(self, v):
+        """(sources, lengths) arrays of the edges into site v, in edge
+        order."""
+        if self._in is None:
+            order = np.argsort(self.dst, kind="stable")
+            self._in = (np.searchsorted(self.dst[order], np.arange(self.n + 1)),
+                        self.src[order], self.length[order])
+        ptr, src, length = self._in
+        return src[ptr[v]:ptr[v + 1]], length[ptr[v]:ptr[v + 1]]
+
+    def has_edges(self, u, v):
+        """Boolean array: whether each (u[i], v[i]) is an edge of H."""
+        return np.isin(np.asarray(u, dtype=np.int64) * self.n + v,
+                       self.src * self.n + self.dst)
+
+    @property
+    def edges(self):
+        """(source, target, length) tuples of Python numbers, in edge
+        order; read-only."""
+        if self._edges is None:
+            ids = list(range(self.n))  # one int object per site, shared
+            self._edges = list(zip(map(ids.__getitem__, self.src.tolist()),
+                                   map(ids.__getitem__, self.dst.tolist()),
+                                   self.length.tolist()))
+        return self._edges
+
+    @property
+    def edge_cones(self):
+        """{(source, target): ascending cone list}; None when the graph
+        records no cones (loaded, or built on fewer than two sites);
+        read-only."""
+        if self._edge_cones is None and self.cone_ptr is not None:
+            cones = self.cone_ids.tolist()
+            ptr = self.cone_ptr.tolist()
+            self._edge_cones = dict(zip(
+                ((u, v) for u, v, _ in self.edges),
+                (cones[a:b] for a, b in zip(ptr[:-1], ptr[1:]))))
+        return self._edge_cones
 
     def save(self, path):
         k = self.params.k if self.params else 0
         c = self.params.c if self.params else 0
         with open(path, "w") as fh:
-            fh.write(f"{self.n} {len(self.edges)} {self.t!r} {k} {c}\n")
-            for u, v, w in self.edges:
-                fh.write(f"{u} {v} {w!r}\n")
+            fh.write(f"{self.n} {self.m} {self.t!r} {k} {c}\n")
+            fh.writelines(f"{u} {v} {w!r}\n" for u, v, w in zip(
+                self.src.tolist(), self.dst.tolist(), self.length.tolist()))
 
     @classmethod
     def load(cls, path):
+        """Graph of a file written by `save`. Edges may come in any order;
+        they are stably sorted on source."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 5:
@@ -103,6 +166,9 @@ class SpannerGraph:
             n, m = int(header[0]), int(header[1])
             t = float(header[2])
             k, c = int(header[3]), int(header[4])
+            if not (math.isfinite(t) and t > 1.0):
+                raise ValueError(f"{path}:1: stretch must be finite and "
+                                 f"exceed 1, got {header[2]}")
             edges = []
             for lineno, line in enumerate(fh, 2):
                 line = line.strip()
@@ -122,7 +188,7 @@ class SpannerGraph:
             if len(edges) != m:
                 raise ValueError(f"{path}: header says {m} edges, found {len(edges)}")
         params = SpannerParams(t=t, k=k, c=c) if k else None
-        return cls(n, edges, t, params)
+        return cls.from_edges(n, edges, t, params)
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +580,12 @@ def _resolve_params(t, params):
     return params
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic collector while millions of acyclic containers
-    are built: its passes over them would find nothing to free."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _finish(sites, n, src, dst, cone, t, params, variant, scale, offset):
-    """SpannerGraph of the selected (source, target, cone) entries, with
-    edges sorted by (source, target) and lengths in input coordinates.
-    Cone -1 marks an edge that no cone selected (a Yao edge); its list in
-    `edge_cones` stays empty unless a cone selected it too."""
+    """SpannerGraph of the selected (source, target, cone) entries: one
+    edge per distinct (source, target), sorted, with its length in input
+    coordinates and the cones that selected it. Cone -1 marks an edge that
+    no cone selected (a Yao edge); it adds nothing to the edge's cone list,
+    which stays empty unless a cone selected the edge too."""
     span = int(cone.max(initial=0)) + 2
     if n * n * span >= 1 << 63:
         raise ValueError(f"{n} sites and {span - 1} cones overflow the "
@@ -542,31 +596,24 @@ def _finish(sites, n, src, dst, cone, t, params, variant, scale, offset):
     del key
     # an edge's entries are one run of equal pair; its -1 sorts first
     first = np.flatnonzero(np.diff(pair, prepend=-1))
-    lo = first + (cone[first] < 0)
-    hi = np.append(first[1:], len(cone))
     src, dst = np.divmod(pair[first], n)
     del pair
+    drop = cone[first] < 0
+    cone_ptr = np.append(first, len(cone)) \
+        - np.concatenate(([0], np.cumsum(drop)))
+    cone_ids = np.delete(cone, first[drop])
+    # math.hypot, not np.hypot: the two differ in the last bit on some
+    # pairs; in chunks, so that the Python floats in flight stay few
     x = np.array([s.x for s in sites], dtype=np.float64)
     y = np.array([s.y for s in sites], dtype=np.float64)
-    ids = list(range(n))  # one int object per site, shared by all edges
-    edges = []
-    edge_cones = {}
-    with _gc_paused():
-        # in chunks, so that only the kept Python objects scale with m
-        for a in range(0, len(first), _SWEEP_CHUNK):
-            b = min(a + _SWEEP_CHUNK, len(first))
-            u, v = src[a:b], dst[a:b]
-            w = map(math.hypot, (x[u] - x[v]).tolist(),
-                    (y[u] - y[v]).tolist())
-            u = list(map(ids.__getitem__, u.tolist()))
-            v = list(map(ids.__getitem__, v.tolist()))
-            cones = cone[first[a]:hi[b - 1]].tolist()
-            edges += zip(u, v, w)
-            edge_cones.update(zip(zip(u, v), (
-                cones[i:j] for i, j in zip((lo[a:b] - first[a]).tolist(),
-                                           (hi[a:b] - first[a]).tolist()))))
-    return SpannerGraph(n, edges, t, params, variant, scale, offset,
-                        edge_cones=edge_cones)
+    length = np.empty(len(first), dtype=np.float64)
+    for a in range(0, len(first), _SWEEP_CHUNK):
+        u, v = src[a:a + _SWEEP_CHUNK], dst[a:a + _SWEEP_CHUNK]
+        length[a:a + len(u)] = np.fromiter(
+            map(math.hypot, (x[u] - x[v]).tolist(), (y[u] - y[v]).tolist()),
+            np.float64, len(u))
+    return SpannerGraph(n, src, dst, length, t, params, variant, scale,
+                        offset, cone_ptr, cone_ids)
 
 
 def build_spanner_spread(sites, t, params=None):
@@ -574,7 +621,7 @@ def build_spanner_spread(sites, t, params=None):
     params = _resolve_params(t, params)
     n = len(sites)
     if n <= 1:
-        return SpannerGraph(n, [], t, params, VARIANT_SPREAD)
+        return SpannerGraph.from_edges(n, [], t, params, VARIANT_SPREAD)
     norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_SPREAD],
                                     params.c)
     root = build_quadtree(norm, params)
@@ -609,7 +656,7 @@ def build_spanner_radius_ratio(sites, t, params=None):
     params = _resolve_params(t, params)
     n = len(sites)
     if n <= 1:
-        return SpannerGraph(n, [], t, params, VARIANT_RATIO)
+        return SpannerGraph.from_edges(n, [], t, params, VARIANT_RATIO)
     norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_RATIO],
                                     params.c)
     depth = forest_depth(radius_ratio(norm))
@@ -640,7 +687,7 @@ def build_spanner_general(sites, t, params=None):
     params = _resolve_params(t, params)
     n = len(sites)
     if n <= 1:
-        return SpannerGraph(n, [], t, params, VARIANT_GENERAL)
+        return SpannerGraph.from_edges(n, [], t, params, VARIANT_GENERAL)
     norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_GENERAL],
                                     params.c)
     root = build_compressed_quadtree(norm, params)
@@ -685,42 +732,36 @@ def verify_shorter_edge(sites, H, params=None):
     params = params or H.params
     t = H.t
     n = len(sites)
-    G = materialize(sites)
-    present = H.edge_set()
-    restricted = H.variant == VARIANT_RATIO
-    if restricted:
+    xy = np.array([(s.x, s.y) for s in sites], dtype=np.float64)
+    csc = materialize(sites).csr.tocsc()
+    # the transmission edges (p, q) missing from H, by target
+    p_all = csc.indices.astype(np.int64)
+    q_all = np.repeat(np.arange(n), np.diff(csc.indptr))
+    need = ~H.has_edges(p_all, q_all)
+    if H.variant == VARIANT_RATIO:
         c = params.c
-        lim2 = 2 * (c - 2) * (c - 2)
         ox, oy = H.offset
         cells = [cell_of(s.x * H.scale + ox, s.y * H.scale + oy, 0)
                  for s in sites]
-    xy = np.array([(s.x, s.y) for s in sites], dtype=np.float64)
-    csc = G.csr.tocsc()
+        # normalize caps the extent, so float64 holds the cell indices
+        # exactly, and rounding the squares cannot cross the small bound
+        ix = np.array([cell.ix for cell in cells], dtype=np.float64)
+        iy = np.array([cell.iy for cell in cells], dtype=np.float64)
+        gx = np.maximum(0.0, np.abs(ix[p_all] - ix[q_all]) - 1.0)
+        gy = np.maximum(0.0, np.abs(iy[p_all] - iy[q_all]) - 1.0)
+        need &= gx * gx + gy * gy >= 2 * (c - 2) * (c - 2)
+    p_all, q_all = p_all[need], q_all[need]
+    bounds = np.searchsorted(q_all, np.arange(n + 1)).tolist()
     violations = []
     for q in range(n):
-        ps = []
-        for p in csc.indices[csc.indptr[q]:csc.indptr[q + 1]].tolist():
-            if (p, q) in present:
-                continue
-            if restricted:
-                gx = max(0, abs(cells[p].ix - cells[q].ix) - 1)
-                gy = max(0, abs(cells[p].iy - cells[q].iy) - 1)
-                if gx * gx + gy * gy < lim2:
-                    continue
-            ps.append(p)
-        if not ps:
+        ps = p_all[bounds[q]:bounds[q + 1]]
+        if not len(ps):
             continue
-        wit = H.in_edges(q)
+        rs, ws = H.in_edges(q)
         pq = np.hypot(xy[ps, 0] - xy[q, 0], xy[ps, 1] - xy[q, 1])
         tol = 1e-9 * np.maximum(1.0, pq)
-        if wit:
-            rs = np.array([r for r, _ in wit])
-            ws = np.array([w for _, w in wit], dtype=np.float64)
-            pr = np.hypot(xy[ps, 0][:, None] - xy[rs, 0][None, :],
-                          xy[ps, 1][:, None] - xy[rs, 1][None, :])
-            ok = (pr <= (pq + tol)[:, None] - (ws / t)[None, :]).any(axis=1)
-        else:
-            ok = np.zeros(len(ps), dtype=bool)
-        for i in np.nonzero(~ok)[0]:
-            violations.append((ps[int(i)], q))
+        pr = np.hypot(xy[ps, 0][:, None] - xy[rs, 0][None, :],
+                      xy[ps, 1][:, None] - xy[rs, 1][None, :])
+        ok = (pr <= (pq + tol)[:, None] - (ws / t)[None, :]).any(axis=1)
+        violations += [(p, q) for p in ps[~ok].tolist()]
     return violations

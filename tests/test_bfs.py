@@ -40,7 +40,7 @@ def test_bfs_root_validation():
 
 def test_bfs_rejects_large_stretch():
     sites = make_sites([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)])
-    H = SpannerGraph(2, [(0, 1, 1.0), (1, 0, 1.0)], 3.0)
+    H = SpannerGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)], 3.0)
     with pytest.raises(ValueError):
         bfs_tree(sites, H, 0)
 
@@ -95,11 +95,12 @@ def test_bfs_layers_partition_reachable():
         assert all(res.dist[i] == d for i in layer)
 
 
-def _fifo_layers(sites, H, root):
-    """Layers of the edge-at-a-time FIFO search, containment by scanning
-    the whole previous layer."""
+def _fifo_layers(sites, edges, root):
+    """Layers of the edge-at-a-time FIFO search over (source, target, _)
+    edges in the given order, containment by scanning the whole previous
+    layer."""
     out = [[] for _ in sites]
-    for u, v, _ in H.edges:
+    for u, v, _ in edges:
         out[u].append(v)
     seen = {root}
     layers = [[root]]
@@ -141,10 +142,37 @@ def test_bfs_parents_and_layer_order_pinned(variant, model):
 
     for root in (0, 57, 123):
         res = bfs_tree(sites, H, root)
-        assert res.layers == _fifo_layers(sites, H, root)
+        assert res.layers == _fifo_layers(sites, H.edges, root)
         for q, d in enumerate(res.dist):
             if d in (0, math.inf):
                 continue
             prev = res.layers[d - 1]
             assert res.parent[q] == max(prev, key=lambda p: rank(p, q))
         assert res.max_edge_relaxations() <= 2
+
+
+def test_bfs_on_unsorted_spanner_file(tmp_path):
+    # a hand-written file lists edges in any order; the edges of one
+    # source keep their file order, as the tuple list they were read into
+    # did, so the out-adjacency and the trees are those of that list
+    sites = random_instance(150, model="pareto", seed=87)
+    H = BUILDERS["ratio"](sites, 2.0)
+    edges = list(H.edges)
+    random.Random(88).shuffle(edges)
+    path = tmp_path / "h.txt"
+    path.write_text(f"{H.n} {H.m} 2.0 {H.params.k} {H.params.c}\n" + "".join(
+        f"{u} {v} {w!r}\n" for u, v, w in edges))
+    loaded = SpannerGraph.load(path)
+    indptr, targets = loaded.out_csr
+    src = np.array([u for u, _, _ in edges])
+    order = np.argsort(src, kind="stable")
+    assert indptr.tolist() == \
+        np.concatenate(([0], np.cumsum(np.bincount(src, minlength=H.n)))).tolist()
+    assert targets.tolist() == np.array([v for _, v, _ in edges])[order].tolist()
+    assert targets.tolist() != H.dst.tolist()  # the order differs
+    for root in (0, 40, 99):
+        res = bfs_tree(sites, loaded, root)
+        assert res.layers == _fifo_layers(sites, edges, root)
+        assert res.parent == bfs_tree(sites, H, root).parent
+        assert res.relax_counts == {(u, v): res.scans[u]
+                                    for u, v, _ in edges if res.scans[u]}

@@ -75,13 +75,55 @@ def test_build_rejects_bad_stretch(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_build_rejects_non_finite_stretch(tmp_path, capsys, t):
+    sites = _gen(tmp_path)
+    capsys.readouterr()
+    rc = main(["build", str(sites), f"--t={t}", "--out",
+               str(tmp_path / "h.txt")])
+    assert rc == 2
+    assert "stretch must be finite and exceed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stretch", ["nan", "inf", "1.0"])
+def test_bfs_rejects_bad_stretch_in_spanner_file(tmp_path, capsys, stretch):
+    sites = _gen(tmp_path, n=20)
+    spanner = tmp_path / "h.txt"
+    spanner.write_text(f"20 1 {stretch} 101 68\n0 1 0.1\n")
+    capsys.readouterr()
+    assert main(["bfs", str(sites), str(spanner), "--root", "0"]) == 2
+    assert f"{spanner}:1: stretch must be finite" in capsys.readouterr().err
+
+
+def test_verify_variant_needs_grid_parameters(tmp_path, capsys):
+    # a header with k = 0 carries no (k, c), which --variant needs
+    sites = _gen(tmp_path, n=30)
+    spanner = tmp_path / "h.txt"
+    spanner.write_text("30 0 2.0 0 0\n")
+    capsys.readouterr()
+    rc = main(["verify", str(sites), str(spanner), "--variant", "ratio"])
+    assert rc == 2
+    assert "--variant ratio needs the grid parameters" in \
+        capsys.readouterr().err
+
+
+def test_verify_flags_edge_outside_disk(tmp_path, capsys):
+    sites = tmp_path / "sites.txt"
+    sites.write_text("0 0 1\n0.5 0 1\n5 0 1\n")
+    spanner = tmp_path / "h.txt"
+    spanner.write_text("3 2 2.0 0 0\n0 1 0.5\n0 2 5.0\n")
+    capsys.readouterr()
+    assert main(["verify", str(sites), str(spanner)]) == 1
+    assert "subgraph check: 1 violations" in capsys.readouterr().out
+
+
 def test_verify_flags_tampered_spanner(tmp_path):
     sites = _gen(tmp_path, n=50)
     out = tmp_path / "h.txt"
     assert main(["build", str(sites), "--t", "2", "--out", str(out)]) == 0
     H = SpannerGraph.load(out)
     # drop half the edges: stretch or witness checks must fail
-    H.edges = H.edges[: len(H.edges) // 2]
+    H = SpannerGraph.from_edges(H.n, H.edges[: H.m // 2], H.t, H.params)
     H.save(out)
     assert main(["verify", str(sites), str(out)]) == 1
 
@@ -162,7 +204,7 @@ def test_bfs_subcommand_bad_root(tmp_path):
     assert main(["bfs", str(sites), str(out), "--root", "99"]) == 2
 
 
-@pytest.mark.parametrize("spanner_n", [2, 5])
+@pytest.mark.parametrize("spanner_n", [2, 5, 10 ** 15])
 def test_bfs_rejects_spanner_of_other_site_count(tmp_path, capsys,
                                                  spanner_n):
     sites = tmp_path / "sites.txt"

@@ -265,8 +265,9 @@ def test_parameters_satisfy_and_minimal(t):
 
 
 def test_parameters_reject_bad_stretch():
-    for t in (1.0, 0.5, 0.0, -2.0):
-        with pytest.raises(ValueError):
+    for t in (1.0, 0.5, 0.0, -2.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError,
+                           match="stretch must be finite and exceed 1"):
             spanner_parameters(t)
 
 

@@ -20,7 +20,7 @@ def _graph_as_spanner(sites, t=2.0):
     for u in range(g.n):
         for v, w in zip(g.neighbors(u), g.weights(u)):
             edges.append((u, int(v), float(w)))
-    return SpannerGraph(len(sites), edges, t)
+    return SpannerGraph.from_edges(len(sites), edges, t)
 
 
 def test_materialize_mutual_pair():
@@ -80,7 +80,7 @@ def test_audit_extra_edges_never_increase_ratio():
     base = audit_stretch(sites, H, 2.0)
     full = _graph_as_spanner(sites)
     by_pair = {(u, v): (u, v, w) for u, v, w in [*H.edges, *full.edges]}
-    merged = SpannerGraph(H.n, list(by_pair.values()), H.t)
+    merged = SpannerGraph.from_edges(H.n, list(by_pair.values()), H.t)
     again = audit_stretch(sites, merged, 2.0)
     assert again.max_ratio <= base.max_ratio + 1e-12
 
@@ -89,7 +89,7 @@ def test_audit_negative_control():
     # two sites joined by a single direction: dropping the only edge of H
     # must surface as a stretch violation
     sites = make_sites([(0.0, 0.0, 2.0), (1.0, 0.0, 0.5)])
-    empty = SpannerGraph(2, [], 2.0)
+    empty = SpannerGraph.from_edges(2, [], 2.0)
     report = audit_stretch(sites, empty, 2.0)
     assert not report.ok
     assert (0, 1) in {(u, v) for u, v, *_ in report.violations}
@@ -99,7 +99,7 @@ def test_audit_cap():
     sites = make_sites([(float(i), 0.0, 0.1)
                         for i in range(oracle.DIJKSTRA_CAP + 1)])
     with pytest.raises(ValueError):
-        audit_stretch(sites, SpannerGraph(len(sites), [], 2.0), 2.0)
+        audit_stretch(sites, SpannerGraph.from_edges(len(sites), [], 2.0), 2.0)
 
 
 def test_bfs_oracle_chain():

@@ -86,15 +86,17 @@ def test_envelope_vertical_line():
 
 @pytest.mark.parametrize("variant", sorted(BUILDERS))
 def test_single_site_empty_spanner(variant):
-    H = BUILDERS[variant](make_sites([(0.0, 0.0, 1.0)]), 2.0)
-    assert H.n == 1 and H.edges == []
+    for n in (0, 1):
+        H = BUILDERS[variant](make_sites([(0.0, 0.0, 1.0)] * n), 2.0)
+        assert (H.n, H.m, H.edges, H.edge_cones) == (n, 0, [], None)
+        assert H.src.dtype == H.dst.dtype == np.int64
+        assert H.out_csr[0].tolist() == [0] * (n + 1)
 
 
 def test_spread_keeps_only_transmission_edge():
     sites = make_sites([(0.0, 0.0, 2.0), (1.0, 0.0, 0.5)])
     H = build_spanner_spread(sites, 2.0)
-    assert (0, 1) in H.edge_set()
-    assert (1, 0) not in H.edge_set()
+    assert H.has_edges([0, 1], [1, 0]).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("variant,n,model", [
@@ -151,7 +153,8 @@ def test_general_edges_inside_disks():
 def test_builder_invariants(variant):
     sites = random_instance(200, model="pareto", seed=68)
     H = BUILDERS[variant](sites, 2.0)
-    assert len(H.edge_set()) == len(H.edges)  # no duplicate directed edges
+    # no duplicate directed edges
+    assert len(np.unique(H.src * H.n + H.dst)) == H.m
     for u, v, _ in H.edges:
         assert euclid(sites[u], sites[v]) <= sites[u].radius + 1e-9
     assert H.m <= sparsity_bound(H.params) * H.n
@@ -318,6 +321,105 @@ def test_finish_rejects_edge_key_overflow():
                             "ratio", 1.0, (0.0, 0.0))
 
 
+def _finish_reference(sites, n, src, dst, cone):
+    """The tuple-building finishing step the array one replaced, the
+    oracle for it: (edges, edge_cones) with edges sorted by (source,
+    target) as (int, int, float) tuples and one cone list per edge."""
+    span = int(cone.max(initial=0)) + 2
+    key = np.sort((src * n + dst) * span + (cone + 1))
+    pair, cone = np.divmod(key, span)
+    cone -= 1
+    # an edge's entries are one run of equal pair; its -1 sorts first
+    first = np.flatnonzero(np.diff(pair, prepend=-1))
+    lo = first + (cone[first] < 0)
+    hi = np.append(first[1:], len(cone))
+    src, dst = np.divmod(pair[first], n)
+    x = np.array([s.x for s in sites], dtype=np.float64)
+    y = np.array([s.y for s in sites], dtype=np.float64)
+    edges = []
+    edge_cones = {}
+    for i, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+        w = math.hypot(float(x[u] - x[v]), float(y[u] - y[v]))
+        edges.append((u, v, w))
+        edge_cones[(u, v)] = cone[lo[i]:hi[i]].tolist()
+    return edges, edge_cones
+
+
+def _build_with_reference(monkeypatch, build, sites):
+    """Build, and return the graph with the reference output of the same
+    (source, target, cone) entries and those entries."""
+    import txspanner.spanner as spanner_mod
+    seen = []
+    finish = spanner_mod._finish
+
+    def recording(sites, n, src, dst, cone, *rest):
+        seen.append((_finish_reference(sites, n, src, dst, cone),
+                     (src, dst, cone)))
+        return finish(sites, n, src, dst, cone, *rest)
+
+    monkeypatch.setattr(spanner_mod, "_finish", recording)
+    H = build(sites, 2.0)
+    (ref, entries), = seen
+    return H, ref, entries
+
+
+def _assert_matches_reference(H, ref):
+    edges, edge_cones = ref
+    assert H.src.dtype == H.dst.dtype == np.int64
+    assert H.length.dtype == np.float64
+    assert H.src.tolist() == [u for u, _, _ in edges]
+    assert H.dst.tolist() == [v for _, v, _ in edges]
+    # lengths bit for bit
+    assert H.length.tobytes() == \
+        np.array([w for _, _, w in edges], dtype=np.float64).tobytes()
+    ptr = H.cone_ptr.tolist()
+    assert [H.cone_ids[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])] \
+        == [edge_cones[(u, v)] for u, v, _ in edges]
+    # the views give the reference itself, Python types included
+    assert H.edges == edges and H.edge_cones == edge_cones
+    assert all(type(u) is int and type(v) is int and type(w) is float
+               for u, v, w in H.edges)
+    assert H.out_csr[0].tolist() == \
+        np.searchsorted(H.src, np.arange(H.n + 1)).tolist()
+
+
+def _coincident_instance():
+    rng = random.Random(80)
+    coords = [(rng.random(), rng.random(), 0.2 + 0.1 * rng.random())
+              for _ in range(60)]
+    return make_sites(coords + coords[:6])
+
+
+@pytest.mark.parametrize("variant", sorted(BUILDERS))
+def test_finish_matches_tuple_reference(monkeypatch, variant):
+    instances = [random_instance(200, model="pareto", seed=83),
+                 _clumped_instance(3),
+                 make_sites([(0.0, 0.0, 1.0), (0.5, 0.0, 1.0)])]
+    if variant == "ratio":  # the others reject coincident sites
+        instances.append(_coincident_instance())
+    for sites in instances:
+        H, ref, _ = _build_with_reference(monkeypatch, BUILDERS[variant],
+                                          sites)
+        assert H.m > 0
+        _assert_matches_reference(H, ref)
+
+
+def test_finish_keeps_cones_of_yao_edges(monkeypatch):
+    # constant radii x4: many Yao edges, some of them selected by a cone
+    # too; their -1 entry adds no cone, their cone entries stay
+    sites = make_sites([(s.x, s.y, 4.0 * s.radius)
+                        for s in random_instance(200, model="constant",
+                                                 seed=84)])
+    H, ref, (src, dst, cone) = _build_with_reference(
+        monkeypatch, build_spanner_radius_ratio, sites)
+    _assert_matches_reference(H, ref)
+    yao = set(zip(src[cone < 0].tolist(), dst[cone < 0].tolist()))
+    coned = set(zip(src[cone >= 0].tolist(), dst[cone >= 0].tolist()))
+    assert yao - coned and yao & coned
+    assert all(H.edge_cones[pair] == [] for pair in yao - coned)
+    assert all(H.edge_cones[pair] for pair in yao & coned)
+
+
 # ---------------------------------------------------------------------------
 # Euclidean spanner
 
@@ -402,7 +504,7 @@ def test_shorter_edge_full_graph_vacuous():
     edges = [(u, int(v), float(w))
              for u in range(g.n)
              for v, w in zip(g.neighbors(u), g.weights(u))]
-    H = SpannerGraph(len(sites), edges, 2.0, params=PARAMS)
+    H = SpannerGraph.from_edges(len(sites), edges, 2.0, params=PARAMS)
     assert verify_shorter_edge(sites, H) == []
 
 
@@ -418,15 +520,38 @@ def test_general_scale_guard():
     # t = 2), the size at which a per-pair Python WSPD took half a minute
     sites = random_instance(2000, model="pareto", seed=74, psi_cap=16.0)
     H = build_spanner_general(sites, 2.0)
-    assert H.n == 2000 and len(H.edge_set()) == H.m
+    assert H.n == 2000 and len(np.unique(H.src * H.n + H.dst)) == H.m
     assert verify_shorter_edge(sites, H) == []
+
+
+def test_presence_and_in_edges_of_unsorted_edges():
+    # targets of one source in any order: the sorted-key presence test
+    # and the in-edge CSC must not rely on a builder's (source, target)
+    # order
+    sites = random_instance(120, model="pareto", seed=89)
+    H = build_spanner_radius_ratio(sites, 2.0)
+    edges = list(H.edges)
+    random.Random(90).shuffle(edges)
+    shuffled = SpannerGraph.from_edges(H.n, edges, H.t, H.params)
+    assert shuffled.dst.tolist() != H.dst.tolist()
+    pairs = set(zip(H.src.tolist(), H.dst.tolist()))
+    u = np.repeat(np.arange(H.n), H.n)
+    v = np.tile(np.arange(H.n), H.n)
+    assert shuffled.has_edges(u, v).tolist() == \
+        [(a, b) in pairs for a, b in zip(u.tolist(), v.tolist())]
+    into = {}
+    for a, b, w in edges:
+        into.setdefault(b, []).append((a, w))
+    for q in range(H.n):
+        rs, ws = shuffled.in_edges(q)
+        assert sorted(zip(rs.tolist(), ws.tolist())) == sorted(into.get(q, []))
 
 
 def test_shorter_edge_negative_control():
     # two sites, a single directed transmission edge and an empty spanner:
     # the missing edge has no witness
     sites = make_sites([(0.0, 0.0, 2.0), (1.0, 0.0, 0.5)])
-    H = SpannerGraph(2, [], 2.0, params=PARAMS)
+    H = SpannerGraph.from_edges(2, [], 2.0, params=PARAMS)
     assert verify_shorter_edge(sites, H) == [(0, 1)]
 
 
@@ -443,6 +568,12 @@ def test_spanner_file_roundtrip(tmp_path):
     assert loaded.t == H.t
     assert (loaded.params.k, loaded.params.c) == (H.params.k, H.params.c)
     assert loaded.edges == H.edges
+    # bit for bit, and a second save writes the same bytes
+    for name in ("src", "dst", "length", "indptr"):
+        a, b = getattr(loaded, name), getattr(H, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    loaded.save(tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_spanner_load_rejects_bad_files(tmp_path):
@@ -453,3 +584,8 @@ def test_spanner_load_rejects_bad_files(tmp_path):
     path.write_text("2 2 2.0 101 68\n0 1 1.0\n")
     with pytest.raises(ValueError):
         SpannerGraph.load(path)
+    for stretch in ("nan", "inf", "-inf", "1.0", "0.5"):
+        path.write_text(f"2 1 {stretch} 101 68\n0 1 1.0\n")
+        with pytest.raises(ValueError,
+                           match=f"{path}:1: stretch must be finite"):
+            SpannerGraph.load(path)
