@@ -4,8 +4,9 @@ Three hierarchy variants feed the spanner constructions: a quadtree for
 bounded spread, a quadforest for bounded radius ratio, and a compressed
 quadtree augmented via a well-separated pair decomposition for the
 general case. All of them expose the same node type and are turned into
-an annulus decomposition (cells, neighbor relation, assigned sites,
-max-radius representatives) by derive_decomposition.
+an annulus decomposition (cells, assigned sites, max-radius
+representatives) by derive_decomposition; neighbor_pair_rows enumerates
+its neighbor relation.
 """
 
 from __future__ import annotations
@@ -105,23 +106,28 @@ def _root_level(sites):
     return level
 
 
+def _split(v, sites):
+    """Give v one child per non-empty cell one level below, in (ix, iy)
+    order, each holding its sites in v's order; returns the children."""
+    child_level = v.cell.level - 1
+    buckets = {}
+    for i in v.sites:
+        c = cell_of(sites[i].x, sites[i].y, child_level)
+        buckets.setdefault((c.ix, c.iy), []).append(i)
+    for (ix, iy), idxs in sorted(buckets.items()):
+        w = QuadNode(GridCell(child_level, ix, iy), idxs)
+        w.parent = v
+        v.children.append(w)
+    return v.children
+
+
 def _subdivide(node, sites, stop_level):
     """Split non-empty cells level by level down to stop_level."""
     stack = [node]
     while stack:
         v = stack.pop()
-        if v.cell.level <= stop_level:
-            continue
-        child_level = v.cell.level - 1
-        buckets = {}
-        for i in v.sites:
-            c = cell_of(sites[i].x, sites[i].y, child_level)
-            buckets.setdefault((c.ix, c.iy), []).append(i)
-        for (ix, iy), idxs in sorted(buckets.items()):
-            w = QuadNode(GridCell(child_level, ix, iy), idxs)
-            w.parent = v
-            v.children.append(w)
-            stack.append(w)
+        if v.cell.level > stop_level:
+            stack.extend(_split(v, sites))
 
 
 def build_quadtree(sites, params):
@@ -283,17 +289,8 @@ def build_compressed_quadtree(sites, params):
             w.parent = v
             v.children.append(w)
             stack.append(w)
-            continue
-        child_level = v.cell.level - 1
-        buckets = {}
-        for i in v.sites:
-            c = cell_of(sites[i].x, sites[i].y, child_level)
-            buckets.setdefault((c.ix, c.iy), []).append(i)
-        for (ix, iy), idxs in sorted(buckets.items()):
-            w = QuadNode(GridCell(child_level, ix, iy), idxs)
-            w.parent = v
-            v.children.append(w)
-            stack.append(w)
+        else:
+            stack.extend(_split(v, sites))
     for v in collect_nodes(root):
         if not v.children and len(v.sites) == 1:
             s = sites[v.sites[0]]
@@ -517,8 +514,9 @@ def build_hierarchy(sites, params, variant):
 # annulus decomposition
 
 class AnnulusDecomposition:
-    """Cells Q, neighbor relation N, assigned sites R_sigma and max-radius
-    representatives m_sigma derived from one of the hierarchies."""
+    """Cells Q, assigned sites R_sigma and max-radius representatives
+    m_sigma derived from one of the hierarchies, with per-level cell
+    arrays from which neighbor_pair_rows enumerates the relation N."""
 
     def __init__(self, roots, nodes, params, variant):
         self.roots = roots
@@ -538,7 +536,6 @@ class AnnulusDecomposition:
             )
             for lvl, vs in by_level.items()
         }
-        self.neighbors = None
 
 
 def _populate_assignments(nodes, sites, params, variant):
@@ -562,17 +559,17 @@ def _populate_assignments(nodes, sites, params, variant):
 
 
 def neighbor_pair_rows(decomp, prune=True):
-    """Ordered neighbor pairs (target node id, source node id, level).
+    """Ordered neighbor pairs (target node id, source node id, level), in
+    no particular order.
 
     A pair (sigma, tau) qualifies when both cells share a level and their
     gap lies in [c-2, 2c) cell diameters (checked in exact integer
     arithmetic). With prune=True, pairs whose source cell holds no site
     that could reach the target cell (max radius below the gap) are
     dropped; such pairs can contribute neither edges nor Definition-3
-    witnesses.
+    witnesses. With prune=False the full relation N is returned, as the
+    decomposition check reads it.
     """
-    from scipy.spatial import cKDTree
-
     c = decomp.params.c
     lo2 = 2 * (c - 2) * (c - 2)
     hi2 = 8 * c * c
@@ -586,60 +583,39 @@ def neighbor_pair_rows(decomp, prune=True):
         side = 2 ** lvl / SQRT2
         pts = np.stack([ix, iy], axis=1).astype(np.float64)
         tree = cKDTree(pts)
+        sources = np.arange(len(ids))
         if prune:
-            # enumerate ordered pairs from qualifying sources only: a
-            # source cell needs a site whose radius reaches the minimum
+            # a source cell needs a site whose radius reaches the minimum
             # gap of the annulus, which excludes almost all cells at
             # coarse levels and keeps the pair count near-linear
-            strong = np.flatnonzero(mrad >= math.sqrt(lo2) * side - EPS)
-            if len(strong) == 0:
-                continue
-            for s0 in range(0, len(strong), 256):
-                chunk = strong[s0:s0 + 256]
-                near = cKDTree(pts[chunk]).sparse_distance_matrix(
-                    tree, r_out, p=np.inf, output_type="ndarray")
-                if len(near) == 0:
-                    continue
-                src = chunk[near["i"]]
-                tgt = near["j"].astype(np.int64)
-                gx = np.maximum(np.abs(ix[src] - ix[tgt]) - 1, 0)
-                gy = np.maximum(np.abs(iy[src] - iy[tgt]) - 1, 0)
-                g2 = gx * gx + gy * gy
-                keep = (g2 >= lo2) & (g2 < hi2)
-                keep &= mrad[src] >= \
-                    np.sqrt(g2.astype(np.float64)) * side - EPS
-                if keep.any():
-                    out_v.append(ids[tgt[keep]].astype(np.int32))
-                    out_t.append(ids[src[keep]].astype(np.int32))
-                    out_lvl.append(np.full(int(keep.sum()), lvl,
-                                           dtype=np.int32))
-        else:
-            pairs = tree.query_pairs(r_out, p=np.inf, output_type="ndarray")
-            if len(pairs) == 0:
-                continue
-            a = pairs[:, 0]
-            b = pairs[:, 1]
-            gx = np.maximum(np.abs(ix[a] - ix[b]) - 1, 0)
-            gy = np.maximum(np.abs(iy[a] - iy[b]) - 1, 0)
+            sources = sources[mrad >= math.sqrt(lo2) * side - EPS]
+        for s0 in range(0, len(sources), 256):
+            chunk = sources[s0:s0 + 256]
+            near = cKDTree(pts[chunk]).sparse_distance_matrix(
+                tree, r_out, p=np.inf, output_type="ndarray")
+            src = chunk[near["i"]]
+            tgt = near["j"].astype(np.int64)
+            gx = np.maximum(np.abs(ix[src] - ix[tgt]) - 1, 0)
+            gy = np.maximum(np.abs(iy[src] - iy[tgt]) - 1, 0)
             g2 = gx * gx + gy * gy
             keep = (g2 >= lo2) & (g2 < hi2)
-            a = a[keep]
-            b = b[keep]
-            if len(a) == 0:
-                continue
-            for ta, so in ((a, b), (b, a)):
-                out_v.append(ids[ta].astype(np.int32))
-                out_t.append(ids[so].astype(np.int32))
-                out_lvl.append(np.full(len(ta), lvl, dtype=np.int32))
+            if prune:
+                keep &= mrad[src] >= \
+                    np.sqrt(g2.astype(np.float64)) * side - EPS
+            if keep.any():
+                out_v.append(ids[tgt[keep]].astype(np.int32))
+                out_t.append(ids[src[keep]].astype(np.int32))
+                out_lvl.append(np.full(int(keep.sum()), lvl, dtype=np.int32))
     if not out_v:
         z = np.zeros(0, dtype=np.int32)
         return z, z, z
     return np.concatenate(out_v), np.concatenate(out_t), np.concatenate(out_lvl)
 
 
-def derive_decomposition(structure, params, variant, sites,
-                         materialize_neighbors=True):
-    """Annulus decomposition over a built hierarchy.
+def derive_decomposition(structure, params, variant, sites):
+    """Annulus decomposition over a built hierarchy: its nodes with their
+    assigned sites R and representatives m, and per level the arrays
+    neighbor_pair_rows enumerates the neighbor relation from.
 
     variant selects the lower endpoint of the assignment interval
     (c for the tree/forest variants, c - 2 for the compressed one) and
@@ -649,16 +625,7 @@ def derive_decomposition(structure, params, variant, sites,
     roots = structure if isinstance(structure, list) else [structure]
     nodes = collect_nodes(roots)
     _populate_assignments(nodes, sites, params, variant)
-    decomp = AnnulusDecomposition(roots, nodes, params, variant)
-    if materialize_neighbors:
-        tv, tt, _ = neighbor_pair_rows(decomp, prune=False)
-        neighbors = {v.id: [] for v in nodes}
-        for a, b in zip(tv.tolist(), tt.tolist()):
-            neighbors[a].append(b)
-        for lst in neighbors.values():
-            lst.sort()
-        decomp.neighbors = neighbors
-    return decomp
+    return AnnulusDecomposition(roots, nodes, params, variant)
 
 
 def cone_assignments(decomp):
@@ -726,7 +693,8 @@ def decomposition_dump(decomp):
 def check_decomposition(decomp, sites, graph):
     """Soundness check of the annulus decomposition.
 
-    Part (i): every stored neighbor pair is same-level with gap in
+    The neighbor relation is read from neighbor_pair_rows(prune=False).
+    Part (i): every neighbor pair is same-level with gap in
     [c-2, 2c) diameters, and the relation is symmetric. Part (ii): every
     edge pq of the explicit transmission graph (skipping, for partial
     decompositions, edges whose level-0 cells are closer than c-2) is
@@ -736,19 +704,21 @@ def check_decomposition(decomp, sites, graph):
     """
     from .core import disk_contains
 
-    if decomp.neighbors is None:
-        raise ValueError("decomposition was derived without neighbor lists")
     c = decomp.params.c
     lo2 = 2 * (c - 2) * (c - 2)
     hi2 = 8 * c * c
     nodes = decomp.nodes
+    neighbors = [[] for _ in nodes]
+    tv, tt, _ = neighbor_pair_rows(decomp, prune=False)
+    for a, b in sorted(zip(tv.tolist(), tt.tolist())):
+        neighbors[a].append(b)
     bad_i = []
     for v in nodes:
-        for t_id in decomp.neighbors[v.id]:
+        for t_id in neighbors[v.id]:
             tau = nodes[t_id]
             g2 = same_level_gap_sq(v.cell, tau.cell)
             if tau.cell.level != v.cell.level or not lo2 <= g2 < hi2 \
-                    or v.id not in decomp.neighbors[t_id]:
+                    or v.id not in neighbors[t_id]:
                 bad_i.append((v.id, t_id))
     site_nodes = [[] for _ in sites]
     for v in nodes:
@@ -767,7 +737,7 @@ def check_decomposition(decomp, sites, graph):
                     continue
             ok = False
             for v_id in site_nodes[q]:
-                for t_id in decomp.neighbors[v_id]:
+                for t_id in neighbors[v_id]:
                     if p not in site_sets[t_id]:
                         continue
                     tau = nodes[t_id]

@@ -122,8 +122,7 @@ class GeomOracle:
         self.scale = scale
         self.offset = offset
         roots = build_quadforest(norm, self.params)
-        self.decomp = derive_decomposition(roots, self.params, VARIANT_RATIO,
-                                           norm, materialize_neighbors=False)
+        self.decomp = derive_decomposition(roots, self.params, VARIANT_RATIO, norm)
         nodes = self.decomp.nodes
         self.level_sites = {
             lvl: _csr([nodes[i].sites for i in ids.tolist()])

@@ -5,16 +5,18 @@ decompositions: bounded spread (quadtree), bounded radius ratio
 (quadforest plus one Yao graph of the disk graph UDG(r_min) for nearby
 sites) and the general case (compressed quadtree augmented with the cells
 of a well-separated pair decomposition). The sweep takes one level at a
-time, all cones at once: each (cone, node, neighbor cell) row of the level
-is decided by one batched numpy containment test against a
-(cones x sites) activity matrix, except rows whose cell offers many disks
-to many targets, which select over the lower envelope of the disk caps
-below a separating line. The builders hand the selected (source, target,
-cone) arrays to one finishing step that sorts them into the arrays of a
-`SpannerGraph`: the distinct edges by (source, target) with their
-lengths, and a CSR of the cones that selected each edge. No step creates
-a Python object per edge; `SpannerGraph.edges` and `.edge_cones` build
-tuple and dict views only when a caller reads them.
+time, all cones at once: each (cone, node, neighbor cell) row of the
+level gives every target still active in its cone the first disk of the
+cell that contains it, decided by one batched numpy containment test
+against a (cones x sites) activity matrix. Any containing disk keeps the
+paper's witness argument; choosing it over the lower envelope of the disk
+caps only serves the paper's time bound, so `select_edges_envelope`
+stands alone and no builder calls it. The builders hand the selected
+(source, target, cone) arrays to one finishing step that sorts them into
+the arrays of a `SpannerGraph`: the distinct edges by (source, target)
+with their lengths, and a CSR of the cones that selected each edge. No
+step creates a Python object per edge; `SpannerGraph.edges` and
+`.edge_cones` build tuple and dict views only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -336,6 +338,9 @@ def select_edges_envelope(targets, disks, line):
     targets and disks are Site lists; line = ('v'|'h', coordinate) must
     strictly separate the target points from the disk centers. Returns
     (disk site id, target site id) pairs; uncovered targets are skipped.
+    This is the paper's envelope lemma, the step behind its time bound; no
+    builder calls it, since any containing disk keeps the witness argument
+    and the sweep's batched containment test picks one directly.
     """
     if not targets or not disks:
         return []
@@ -366,31 +371,9 @@ def select_edges_bruteforce(targets, disks):
 # ---------------------------------------------------------------------------
 # decomposition-driven selection sweep
 
-# a sweep row with 3 or more disks whose disk count times its count of
-# targets active at level start exceeds this selects over the cap
-# envelope; every other row joins the level's batched containment test.
-# 0 forces the envelope wherever it applies (used by tests)
-_BRUTE_LIMIT = 64
-
 # bound on the entries one numpy pass holds at once: (row, target) pairs
 # and containment candidates of the sweep, edges of _finish
 _SWEEP_CHUNK = 1 << 14
-
-
-def _separating_line(sigma, tau):
-    """Axis-parallel line strictly between two disjoint same-level cells."""
-    sx0, sy0, sx1, sy1 = sigma.bounds()
-    tx0, ty0, tx1, ty1 = tau.bounds()
-    options = (
-        (tx0 - sx1, ("v", 0.5 * (sx1 + tx0))),
-        (sx0 - tx1, ("v", 0.5 * (tx1 + sx0))),
-        (ty0 - sy1, ("h", 0.5 * (sy1 + ty0))),
-        (sy0 - ty1, ("h", 0.5 * (ty1 + sy0))),
-    )
-    gap, line = max(options)
-    if gap <= 0.0:
-        raise AssertionError("neighbor cells are not separated")
-    return line
 
 
 def _csr(lists):
@@ -421,7 +404,7 @@ def _chunks(weight):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _select_level(sites, nodes, level, csr, active):
+def _select_level(level, csr, active):
     """Edges selected at the nodes of one level, in all cones at once.
 
     level holds the level's rows (cone, level, node v, neighbor cell tau);
@@ -443,24 +426,6 @@ def _select_level(sites, nodes, level, csr, active):
         row += a
         keep = active[cone[row], q]
         row, q = row[keep], q[keep]
-        n_q = np.bincount(row - a, minlength=b - a)
-        env = (n_disks[a:b] >= 3) & (n_disks[a:b] * n_q > _BRUTE_LIMIT)
-        if env.any():
-            ptr = np.concatenate(([0], np.cumsum(n_q))).tolist()
-            for j in np.flatnonzero(env).tolist():
-                t = int(tau[a + j])
-                sel = select_edges_envelope(
-                    [sites[i] for i in q[ptr[j]:ptr[j + 1]].tolist()],
-                    [sites[i] for i in
-                     disk_ids[disk_ptr[t]:disk_ptr[t + 1]].tolist()],
-                    _separating_line(nodes[int(v[a + j])].cell,
-                                     nodes[t].cell))
-                if sel:
-                    sel = np.array(sel, dtype=np.int64)
-                    picked.append((sel[:, 0], sel[:, 1],
-                                   np.full(len(sel), cone[a + j])))
-            direct = ~env[row - a]
-            row, q = row[direct], q[direct]
         if len(row) == 0:
             continue
         for lo, hi in _chunks(n_disks[row]):
@@ -511,7 +476,7 @@ def _decomposition_edges(sites, decomp):
     if len({int(level[0, 1]) for level in levels}) < len(levels):
         raise AssertionError("cone rows of one level are not contiguous")
     for level in levels:
-        picked = _select_for_node(sites, nodes, level, csr, active)
+        picked = _select_for_node(level, csr, active)
         for _, dst, cone in picked:
             active[cone, dst] = False
         found += picked
@@ -625,8 +590,7 @@ def build_spanner_spread(sites, t, params=None):
     norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_SPREAD],
                                     params.c)
     root = build_quadtree(norm, params)
-    decomp = derive_decomposition(root, params, VARIANT_SPREAD, norm,
-                                  materialize_neighbors=False)
+    decomp = derive_decomposition(root, params, VARIANT_SPREAD, norm)
     return _finish(sites, n, *_decomposition_edges(norm, decomp), t, params,
                    VARIANT_SPREAD, scale, offset)
 
@@ -637,8 +601,7 @@ def _component_edges(norm, comp, params, depth):
     sub = [Site(pos, norm[i].x, norm[i].y, norm[i].radius)
            for pos, i in enumerate(comp)]
     roots = build_quadforest(sub, params, depth=depth)
-    decomp = derive_decomposition(roots, params, VARIANT_RATIO, sub,
-                                  materialize_neighbors=False)
+    decomp = derive_decomposition(roots, params, VARIANT_RATIO, sub)
     src, dst, cone = _decomposition_edges(sub, decomp)
     comp = np.asarray(comp, dtype=np.int64)
     return comp[src], comp[dst], cone
@@ -693,8 +656,7 @@ def build_spanner_general(sites, t, params=None):
     root = build_compressed_quadtree(norm, params)
     wspd = compute_wspd(root, params.c)
     root = augment_with_wspd(root, wspd, params, norm)
-    decomp = derive_decomposition(root, params, VARIANT_GENERAL, norm,
-                                  materialize_neighbors=False)
+    decomp = derive_decomposition(root, params, VARIANT_GENERAL, norm)
     return _finish(sites, n, *_decomposition_edges(norm, decomp), t, params,
                    VARIANT_GENERAL, scale, offset)
 

@@ -23,8 +23,8 @@ from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      check_decomposition, collect_nodes,
                                      compute_wspd, decomposition_dump,
                                      derive_decomposition, forest_depth,
-                                     near_cell_count, partition_components,
-                                     radius_ratio)
+                                     near_cell_count, neighbor_pair_rows,
+                                     partition_components, radius_ratio)
 from txspanner.oracle import materialize
 
 PARAMS = spanner_parameters(2.0)
@@ -422,8 +422,8 @@ def test_neighborhood_size_bound():
     norm, _, _ = normalized_for(sites, PARAMS, VARIANT_SPREAD)
     decomp = derive_decomposition(build_hierarchy(norm, PARAMS, VARIANT_SPREAD),
                                   PARAMS, VARIANT_SPREAD, norm)
-    bound = annulus_cell_count(PARAMS.c)
-    assert all(len(ns) <= bound for ns in decomp.neighbors.values())
+    tv, _, _ = neighbor_pair_rows(decomp, prune=False)
+    assert np.bincount(tv).max() <= annulus_cell_count(PARAMS.c)
 
 
 def test_each_site_in_at_most_two_assigned_sets():

@@ -191,53 +191,39 @@ def _counting_envelope(monkeypatch):
     return calls
 
 
-def _target_cones(H):
-    return {(q, cone) for (_, q), cones in H.edge_cones.items()
-            for cone in cones}
-
-
-def test_forced_envelope_path_matches(monkeypatch):
-    import txspanner.spanner as spanner_mod
+def test_clumped_builds_never_call_envelope(monkeypatch):
+    # clumped cells offer many disks to many targets; the sweep still
+    # decides every row by its containment test
     calls = _counting_envelope(monkeypatch)
-    instances = (random_instance(120, model="uniform", seed=70),
-                 _clumped_instance(3), _clumped_instance(4))
     for variant in sorted(BUILDERS):
-        envelope_calls = {}
-        for sites in instances:
-            runs = []
-            # 0 forces the envelope wherever a cell has 3 or more disks; a
-            # huge limit runs the direct containment loop everywhere
-            for limit in (0, 10 ** 9):
-                monkeypatch.setattr(spanner_mod, "_BRUTE_LIMIT", limit)
-                before = calls[0]
-                H = BUILDERS[variant](sites, 2.0)
-                envelope_calls[limit] = envelope_calls.get(limit, 0) \
-                    + calls[0] - before
-                assert audit_stretch(sites, H, 2.0).ok, variant
-                assert verify_shorter_edge(sites, H) == [], variant
-                runs.append(_target_cones(H))
-            # both paths cover the same targets per cone; sources may differ
-            assert runs[0] == runs[1], variant
-        assert envelope_calls[0] > 0, variant
-        assert envelope_calls[10 ** 9] == 0, variant
+        for seed in (3, 4):
+            sites = _clumped_instance(seed)
+            H = BUILDERS[variant](sites, 2.0)
+            assert audit_stretch(sites, H, 2.0).ok, (variant, seed)
+            assert verify_shorter_edge(sites, H) == [], (variant, seed)
+    assert calls[0] == 0
 
 
-def test_general_default_build_uses_envelope(monkeypatch):
-    calls = _counting_envelope(monkeypatch)
-    sites = _clumped_instance(3)
-    H = build_spanner_general(sites, 2.0)
-    assert calls[0] > 0
-    assert audit_stretch(sites, H, 2.0).ok
-    assert verify_shorter_edge(sites, H) == []
+def _separating_line(sigma, tau):
+    """Axis-parallel line strictly between two disjoint same-level cells."""
+    sx0, sy0, sx1, sy1 = sigma.bounds()
+    tx0, ty0, tx1, ty1 = tau.bounds()
+    gap, line = max(((tx0 - sx1, ("v", 0.5 * (sx1 + tx0))),
+                     (sx0 - tx1, ("v", 0.5 * (tx1 + sx0))),
+                     (ty0 - sy1, ("h", 0.5 * (sy1 + ty0))),
+                     (sy0 - ty1, ("h", 0.5 * (ty1 + sy0)))))
+    assert gap > 0.0, "neighbor cells are not separated"
+    return line
 
 
-def _reference_edges(sites, decomp):
+def _reference_edges(sites, decomp, envelope=False):
     """Per-(cone, node) selection loop, the oracle for the batched sweep.
 
     A node reads the activity of its sites once; each neighbor cell gives
     an active target an edge from its first disk of R + [m] containing it
-    (or from the envelope where the sweep would use it); covered targets
-    are deactivated for the rest of the cone after all neighbor cells.
+    (with envelope=True, cells with 3 or more disks select over the cap
+    envelope instead); covered targets are deactivated for the rest of the
+    cone after all neighbor cells.
     """
     import txspanner.spanner as spanner_mod
     from txspanner.core import disk_contains
@@ -258,11 +244,10 @@ def _reference_edges(sites, decomp):
             disk_ids = list(node.R)
             if node.m is not None and node.m not in node.R:
                 disk_ids.append(node.m)
-            if len(disk_ids) >= 3 and \
-                    len(disk_ids) * len(q_ids) > spanner_mod._BRUTE_LIMIT:
-                sel = select_edges_envelope(
+            if envelope and len(disk_ids) >= 3:
+                sel = spanner_mod.select_edges_envelope(
                     [sites[i] for i in q_ids], [sites[i] for i in disk_ids],
-                    spanner_mod._separating_line(nodes[v].cell, node.cell))
+                    _separating_line(nodes[v].cell, node.cell))
             else:
                 sel = []
                 for q in q_ids:
@@ -286,17 +271,41 @@ def test_sweep_matches_reference_loop(monkeypatch, variant):
                  random_instance(150, model="constant", seed=77),
                  _clumped_instance(3))
     for sites in instances:
-        for limit in (0, spanner_mod._BRUTE_LIMIT, 10 ** 9):
-            monkeypatch.setattr(spanner_mod, "_BRUTE_LIMIT", limit)
+        H = BUILDERS[variant](sites, 2.0)
+        with monkeypatch.context() as m:
+            m.setattr(spanner_mod, "_decomposition_edges", _reference_edges)
+            ref = BUILDERS[variant](sites, 2.0)
+        assert H.edge_cones == ref.edge_cones
+        assert H.edges == ref.edges
+        assert all(cones == sorted(set(cones))
+                   for cones in H.edge_cones.values())
+
+
+def _target_cones(H):
+    return {(q, cone) for (_, q), cones in H.edge_cones.items()
+            for cone in cones}
+
+
+def test_forced_envelope_path_matches(monkeypatch):
+    # the envelope, forced wherever a cell offers 3 or more disks, covers
+    # the same targets per cone as the sweep; sources may differ
+    import functools
+    import txspanner.spanner as spanner_mod
+    calls = _counting_envelope(monkeypatch)
+    instances = (random_instance(120, model="uniform", seed=70),
+                 _clumped_instance(3), _clumped_instance(4))
+    for variant in sorted(BUILDERS):
+        before = calls[0]
+        for sites in instances:
             H = BUILDERS[variant](sites, 2.0)
             with monkeypatch.context() as m:
                 m.setattr(spanner_mod, "_decomposition_edges",
-                          _reference_edges)
-                ref = BUILDERS[variant](sites, 2.0)
-            assert H.edge_cones == ref.edge_cones
-            assert H.edges == ref.edges
-            assert all(cones == sorted(set(cones))
-                       for cones in H.edge_cones.values())
+                          functools.partial(_reference_edges, envelope=True))
+                forced = BUILDERS[variant](sites, 2.0)
+            assert audit_stretch(sites, forced, 2.0).ok, variant
+            assert verify_shorter_edge(sites, forced) == [], variant
+            assert _target_cones(forced) == _target_cones(H), variant
+        assert calls[0] > before, variant
 
 
 @pytest.mark.parametrize("variant", sorted(BUILDERS))
