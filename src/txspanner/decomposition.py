@@ -3,16 +3,22 @@
 Three hierarchy variants feed the spanner constructions: a quadtree for
 bounded spread, a quadforest for bounded radius ratio, and a compressed
 quadtree augmented via a well-separated pair decomposition for the
-general case. All of them expose the same node type and are turned into
-an annulus decomposition (cells, assigned sites, max-radius
-representatives) by derive_decomposition; neighbor_pair_rows enumerates
-its neighbor relation.
+general case. The quadforest is built level by level in numpy, straight
+into `NodeArrays`: per-node cell arrays and a CSR of node sites, ids in
+(-level, ix, iy) order. The two trees are built as `QuadNode`s and
+derive_decomposition takes them into the same arrays. One vectorized step
+then assigns every node its sites R and its max-radius representative m,
+and the `AnnulusDecomposition` holds the result as arrays;
+neighbor_pair_rows enumerates its neighbor relation from the per-level
+cell arrays. `QuadNode` views of a decomposition are built only when a
+caller reads them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -89,6 +95,79 @@ def collect_nodes(structure):
     return nodes
 
 
+def _csr(lists):
+    """(indptr, flat) int64 arrays of a list of int lists."""
+    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lists), np.int64, len(lists)),
+              out=indptr[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
+                       int(indptr[-1]))
+    return indptr, flat
+
+
+def site_array(sites):
+    """(n, 3) float64 array of the sites' (x, y, radius) rows; an array is
+    returned as it is."""
+    if isinstance(sites, np.ndarray):
+        return sites
+    return np.array([(s.x, s.y, s.radius) for s in sites],
+                    dtype=np.float64).reshape(-1, 3)
+
+
+class NodeArrays:
+    """The nodes of a cell hierarchy as arrays, ids in (-level, ix, iy)
+    order, so that each level is one contiguous id range.
+
+    Node i is the cell (level[i], ix[i], iy[i]) (int64); parent[i] is the
+    id of the node it hangs from (-1 for a root), and its sites are
+    site_ids[site_ptr[i]:site_ptr[i + 1]]. `nodes` is a QuadNode list with
+    the same ids: the tree the arrays were taken from (from_tree), or one
+    built from the arrays on first read.
+    """
+
+    def __init__(self, level, ix, iy, parent, site_ptr, site_ids, nodes=None):
+        self.level = level
+        self.ix = ix
+        self.iy = iy
+        self.parent = parent
+        self.site_ptr = site_ptr
+        self.site_ids = site_ids
+        self._nodes = nodes
+
+    @classmethod
+    def from_tree(cls, structure):
+        """Arrays of a QuadNode root or list of roots; assigns the ids."""
+        nodes = collect_nodes(structure)
+        n = len(nodes)
+        level, ix, iy = (np.fromiter((getattr(v.cell, a) for v in nodes),
+                                     np.int64, n)
+                         for a in ("level", "ix", "iy"))
+        parent = np.fromiter((-1 if v.parent is None else v.parent.id
+                              for v in nodes), np.int64, n)
+        return cls(level, ix, iy, parent, *_csr([v.sites for v in nodes]),
+                   nodes)
+
+    @property
+    def nodes(self):
+        if self._nodes is None:
+            ptr = self.site_ptr.tolist()
+            ids = self.site_ids.tolist()
+            nodes = [QuadNode(GridCell(*key), ids[a:b]) for key, a, b in zip(
+                zip(self.level.tolist(), self.ix.tolist(), self.iy.tolist()),
+                ptr[:-1], ptr[1:])]
+            for i, (v, p) in enumerate(zip(nodes, self.parent.tolist())):
+                v.id = i
+                if p >= 0:
+                    v.parent = nodes[p]
+                    nodes[p].children.append(v)
+            self._nodes = nodes
+        return self._nodes
+
+    @property
+    def roots(self):
+        return [v for v in self.nodes if v.parent is None]
+
+
 def _check_scaled(value, target, what):
     if abs(value - target) > 1e-6 * max(1.0, abs(target)):
         raise ValueError(f"input not normalized: {what} is {value}, expected {target}")
@@ -163,29 +242,46 @@ def forest_depth(psi):
 
 
 def build_quadforest(sites, params, depth=None):
-    """Quadforest for the bounded-radius-ratio construction.
+    """Quadforest for the bounded-radius-ratio construction, as NodeArrays.
 
-    Sites must be normalized so the smallest radius is at least c. Roots
-    are the non-empty cells of level L = ceil(log2 psi) (or the given
-    depth, when building one component of a larger normalized input);
-    level-0 cells are not subdivided and may hold many sites.
+    sites is a Site list or its site_array, normalized so the smallest
+    radius is at least c. Roots are the non-empty cells of level
+    L = ceil(log2 psi) (or the given depth, when building one component
+    of a larger normalized input); level-0 cells are not subdivided and
+    may hold many sites. Every level holds all sites: a site's cell is
+    np.floor(coordinate / side), with cell_of's float side, and a node is
+    one run of the level's sites sorted by (ix, iy, parent node, index).
     """
-    if len(sites) == 0:
+    xyr = site_array(sites)
+    n = len(xyr)
+    if n == 0:
         raise ValueError("no sites")
-    if min(s.radius for s in sites) < params.c * (1.0 - 1e-6):
+    x, y, r = xyr[:, 0], xyr[:, 1], xyr[:, 2]
+    if r.min() < params.c * (1.0 - 1e-6):
         raise ValueError("input not normalized: smallest radius below c")
-    L = forest_depth(radius_ratio(sites)) if depth is None else depth
-    buckets = {}
-    for i, s in enumerate(sites):
-        c = cell_of(s.x, s.y, L)
-        buckets.setdefault((c.ix, c.iy), []).append(i)
-    roots = []
-    for (ix, iy), idxs in sorted(buckets.items()):
-        root = QuadNode(GridCell(L, ix, iy), idxs)
-        _subdivide(root, sites, 0)
-        roots.append(root)
-    collect_nodes(roots)
-    return roots
+    L = forest_depth(r.max() / r.min()) if depth is None else depth
+    members = np.arange(n)
+    up = np.full(n, -1, dtype=np.int64)  # each member's node one level up
+    first = 0  # id of the level's first node
+    parts = []
+    for lvl in range(L, -1, -1):
+        side = 2 ** lvl / SQRT2
+        kx = np.floor(x[members] / side).astype(np.int64)
+        ky = np.floor(y[members] / side).astype(np.int64)
+        order = np.lexsort((members, up, ky, kx))
+        members, up, kx, ky = members[order], up[order], kx[order], ky[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]) | (up[1:] != up[:-1])
+        start = np.flatnonzero(new)
+        # the level's n sites sit at [(L - lvl) * n, (L - lvl + 1) * n)
+        parts.append((np.full(len(start), lvl), kx[start], ky[start],
+                      up[start], start + (L - lvl) * n, members))
+        up = first + np.cumsum(new) - 1
+        first += len(start)
+    level, ix, iy, parent, site_ptr, site_ids = (np.concatenate(col)
+                                                 for col in zip(*parts))
+    site_ptr = np.append(site_ptr, len(site_ids))
+    return NodeArrays(level, ix, iy, parent, site_ptr, site_ids)
 
 
 def partition_components(sites, params):
@@ -513,49 +609,107 @@ def build_hierarchy(sites, params, variant):
 # ---------------------------------------------------------------------------
 # annulus decomposition
 
+class _LazyList:
+    """Read-only sequence whose items `build()` makes on first access;
+    len() is known up front and builds nothing."""
+
+    __slots__ = ("_build", "_len", "_items")
+
+    def __init__(self, build, length):
+        self._build = build
+        self._len = length
+        self._items = None
+
+    def _list(self):
+        if self._items is None:
+            self._items = self._build()
+        return self._items
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+
 class AnnulusDecomposition:
     """Cells Q, assigned sites R_sigma and max-radius representatives
-    m_sigma derived from one of the hierarchies, with per-level cell
-    arrays from which neighbor_pair_rows enumerates the relation N."""
+    m_sigma derived from one of the hierarchies, as per-node arrays in the
+    id order of its NodeArrays, (-level, ix, iy).
 
-    def __init__(self, roots, nodes, params, variant):
-        self.roots = roots
-        self.nodes = nodes
+    - `level`, `ix`, `iy`: the node's cell; `site_ptr`, `site_ids`: a CSR
+      of its sites.
+    - `m`: the representative, the smallest index among the sites of
+      largest radius (-1 for a node without sites); `max_radius`: that
+      radius (-1.0 without sites).
+    - `R_ptr`, `R_ids`: a CSR of R_sigma, in site order.
+    - `level_arrays[lvl]` = (ids, ix, iy, max_radius) of one level, the
+      arrays neighbor_pair_rows enumerates the relation N from, levels in
+      descending order.
+
+    `nodes` is a QuadNode view with m, max_radius and R filled in, built
+    on first item access; len(nodes) builds nothing. Nothing in the
+    package reads it but check_decomposition.
+    """
+
+    def __init__(self, cells, assignments, params, variant):
+        self.level, self.ix, self.iy = cells.level, cells.ix, cells.iy
+        self.site_ptr, self.site_ids = cells.site_ptr, cells.site_ids
+        self.m, self.max_radius, self.R_ptr, self.R_ids = assignments
         self.params = params
         self.variant = variant
         self.partial = variant == VARIANT_RATIO
-        by_level = {}
-        for v in nodes:
-            by_level.setdefault(v.cell.level, []).append(v)
+        cut = (np.flatnonzero(np.diff(self.level)) + 1).tolist()
         self.level_arrays = {
-            lvl: (
-                np.array([v.id for v in vs], dtype=np.int64),
-                np.array([v.cell.ix for v in vs], dtype=np.int64),
-                np.array([v.cell.iy for v in vs], dtype=np.int64),
-                np.array([v.max_radius for v in vs], dtype=np.float64),
-            )
-            for lvl, vs in by_level.items()
-        }
+            int(self.level[a]): (np.arange(a, b, dtype=np.int64),
+                                 self.ix[a:b], self.iy[a:b],
+                                 self.max_radius[a:b])
+            for a, b in zip([0] + cut, cut + [len(self.level)])}
+        self.nodes = _LazyList(partial(_node_view, cells, *assignments),
+                               len(self.level))
 
 
-def _populate_assignments(nodes, sites, params, variant):
+def _node_view(cells, m, max_radius, R_ptr, R_ids):
+    """The QuadNodes of `cells` with their m, max_radius and R set."""
+    nodes = cells.nodes
+    R = R_ids.tolist()
+    ptr = R_ptr.tolist()
+    for v, rep, best, a, b in zip(nodes, m.tolist(), max_radius.tolist(),
+                                  ptr[:-1], ptr[1:]):
+        v.m = None if rep < 0 else rep
+        v.max_radius = best
+        v.R = R[a:b]
+    return nodes
+
+
+def _populate_assignments(cells, radius, params, variant):
+    """(m, max_radius, R_ptr, R_ids) of every node of `cells`, given the
+    radii of its sites: m is the smallest index of largest radius, and a
+    site joins R when lb * diam - EPS <= r < ub * diam + EPS for its
+    node's cell diameter, with lb = c (c - 2 for the general variant) and
+    ub = 2 (c + 1)."""
     lb = params.c - 2 if variant == VARIANT_GENERAL else params.c
     ub = 2 * (params.c + 1)
-    for v in nodes:
-        diam = v.cell.diameter
-        best = -1.0
-        best_i = None
-        R = []
-        for i in v.sites:
-            r = sites[i].radius
-            if r > best or (r == best and i < best_i):
-                best = r
-                best_i = i
-            if lb * diam - EPS <= r < ub * diam + EPS:
-                R.append(i)
-        v.m = best_i
-        v.max_radius = best
-        v.R = R
+    ptr, ids = cells.site_ptr, cells.site_ids
+    counts = np.diff(ptr)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    r = radius[ids]
+    full = np.flatnonzero(counts)
+    max_radius = np.full(len(counts), -1.0)
+    m = np.full(len(counts), -1, dtype=np.int64)
+    if len(full):
+        max_radius[full] = np.maximum.reduceat(r, ptr[full])
+        m[full] = np.minimum.reduceat(
+            np.where(r == max_radius[owner], ids, len(radius)), ptr[full])
+    diam = np.ldexp(1.0, cells.level)[owner]
+    inside = (lb * diam - EPS <= r) & (r < ub * diam + EPS)
+    R_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[inside], minlength=len(counts)),
+              out=R_ptr[1:])
+    return m, max_radius, R_ptr, ids[inside]
 
 
 def neighbor_pair_rows(decomp, prune=True):
@@ -617,15 +771,21 @@ def derive_decomposition(structure, params, variant, sites):
     assigned sites R and representatives m, and per level the arrays
     neighbor_pair_rows enumerates the neighbor relation from.
 
+    structure is build_quadforest's NodeArrays, or the QuadNode root (or
+    list of roots) of a tree, which is taken into NodeArrays first; sites
+    is a Site list or its site_array.
+
     variant selects the lower endpoint of the assignment interval
     (c for the tree/forest variants, c - 2 for the compressed one) and
     whether the decomposition is partial (ratio variant: edges between
     close level-0 cells are left to the Yao graph of UDG(r_min)).
     """
-    roots = structure if isinstance(structure, list) else [structure]
-    nodes = collect_nodes(roots)
-    _populate_assignments(nodes, sites, params, variant)
-    return AnnulusDecomposition(roots, nodes, params, variant)
+    cells = structure if isinstance(structure, NodeArrays) \
+        else NodeArrays.from_tree(structure)
+    radius = site_array(sites)[:, 2]
+    return AnnulusDecomposition(
+        cells, _populate_assignments(cells, radius, params, variant), params,
+        variant)
 
 
 def cone_assignments(decomp):
@@ -642,9 +802,8 @@ def cone_assignments(decomp):
     tv, tt, lvl = neighbor_pair_rows(decomp, prune=True)
     if len(tv) == 0:
         return np.zeros((0, 4), dtype=np.int64)
-    nodes = decomp.nodes
-    ix = np.array([v.cell.ix for v in nodes], dtype=np.float64)
-    iy = np.array([v.cell.iy for v in nodes], dtype=np.float64)
+    ix = decomp.ix.astype(np.float64)
+    iy = decomp.iy.astype(np.float64)
     parts = []
     # chunked so the float intermediates stay bounded on large inputs
     for s in range(0, len(tv), 2_000_000):
@@ -681,13 +840,13 @@ def cone_assignments(decomp):
 
 
 def decomposition_dump(decomp):
-    """Debug listing: one line per node `level ix iy |sites| m R-size`."""
-    lines = []
-    for v in sorted(decomp.nodes, key=lambda v: (-v.cell.level, v.cell.ix, v.cell.iy)):
-        m = -1 if v.m is None else v.m
-        lines.append(f"{v.cell.level} {v.cell.ix} {v.cell.iy} "
-                     f"{len(v.sites)} {m} {len(v.R)}")
-    return "\n".join(lines)
+    """Debug listing: one line per node `level ix iy |sites| m R-size`, in
+    id order."""
+    return "\n".join(
+        f"{lvl} {ix} {iy} {n} {m} {r}" for lvl, ix, iy, n, m, r in zip(
+            decomp.level.tolist(), decomp.ix.tolist(), decomp.iy.tolist(),
+            np.diff(decomp.site_ptr).tolist(), decomp.m.tolist(),
+            np.diff(decomp.R_ptr).tolist()))
 
 
 def check_decomposition(decomp, sites, graph):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import os
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .core import EPS, disk_contains
+from .core import EPS, disk_contains, make_sites
 
 MATERIALIZE_CAP = int(os.environ.get("TXSPANNER_MATERIALIZE_CAP", "2000"))
 DIJKSTRA_CAP = int(os.environ.get("TXSPANNER_DIJKSTRA_CAP", "600"))
@@ -148,3 +149,28 @@ def geom_reach_oracle(sites, graph, s, point):
     x, y = point
     return any(disk_contains(sites[q], x, y)
                for q in np.nonzero(mask)[0])
+
+
+def degenerate_instances(seed=0):
+    """Small inputs at the edges of what the constructions take, by name:
+    exact duplicate points, collinear points on a grid diagonal, tight
+    clusters, and extreme spread (points 2^i apart over 30 doublings,
+    radius ratio 2^29). Only the ratio variant takes duplicates; the
+    other two reject them with ValueError."""
+    rng = random.Random(seed)
+    base = [(rng.random(), rng.random(), 0.15 + 0.1 * rng.random())
+            for _ in range(30)]
+    line = [rng.random() for _ in range(40)]
+    centers = [(rng.random(), rng.random()) for _ in range(3)]
+    return {
+        "duplicates": make_sites(base + base[:10]),
+        "collinear": make_sites([(u, u, 0.05 + 0.15 * rng.random())
+                                 for u in line]),
+        "tight-clusters": make_sites([
+            (cx + rng.gauss(0.0, 1e-7), cy + rng.gauss(0.0, 1e-7),
+             0.3 + 0.2 * rng.random())
+            for cx, cy in (centers[i % 3] for i in range(45))]),
+        "extreme-spread": make_sites([
+            (1e-6 * 2.0 ** i * math.cos(i), 1e-6 * 2.0 ** i * math.sin(i),
+             2e-6 * 2.0 ** i) for i in range(30)]),
+    }

@@ -21,9 +21,10 @@ from .core import (EPS, cell_of, cone_range_for_cell, cone_ranges,
                    disk_contains, normalize, spanner_parameters)
 from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
                             annulus_cell_count, build_quadforest,
-                            derive_decomposition, near_cell_count)
+                            derive_decomposition, near_cell_count,
+                            site_array)
 from .oracle import materialize
-from .spanner import _csr, _expand
+from .spanner import _expand
 
 
 class BaseOracle:
@@ -98,11 +99,14 @@ class GeomOracle:
     """Quadforest over the sites plus a base oracle; answers site-to-point
     reachability.
 
-    Per level, `level_sites[level]` is a CSR (ptr, members) of the site
-    indices of each node, in `decomp.level_arrays` node order. Probes read
-    the original coordinates (`site_x`, `site_y`), the padded radii
-    `site_rr` = r + EPS and the ids `site_id`, so their containment
-    verdicts are those of `disk_contains`.
+    `decomp` is the ratio variant's annulus decomposition of the
+    normalized sites, held as arrays (see AnnulusDecomposition); building
+    it creates no QuadNode. Per level, `level_sites[level]` is a CSR (ptr,
+    members) of the site indices of each node, in `decomp.level_arrays`
+    node order: a slice of the decomposition's site CSR, since a level is
+    one contiguous id range. Probes read the original coordinates
+    (`site_x`, `site_y`), the padded radii `site_rr` = r + EPS and the ids
+    `site_id`, so their containment verdicts are those of `disk_contains`.
     """
 
     def __init__(self, sites, base=None, t=2.0):
@@ -121,24 +125,28 @@ class GeomOracle:
         self.norm = norm
         self.scale = scale
         self.offset = offset
-        roots = build_quadforest(norm, self.params)
-        self.decomp = derive_decomposition(roots, self.params, VARIANT_RATIO, norm)
-        nodes = self.decomp.nodes
-        self.level_sites = {
-            lvl: _csr([nodes[i].sites for i in ids.tolist()])
-            for lvl, (ids, _, _, _) in self.decomp.level_arrays.items()}
-        self.site_x = np.array([s.x for s in self.sites], dtype=np.float64)
-        self.site_y = np.array([s.y for s in self.sites], dtype=np.float64)
-        self.site_rr = np.array([s.radius for s in self.sites],
-                                dtype=np.float64) + EPS
+        xyr = site_array(norm)
+        forest = build_quadforest(xyr, self.params)
+        self.decomp = derive_decomposition(forest, self.params, VARIANT_RATIO,
+                                           xyr)
+        ptr, ids = self.decomp.site_ptr, self.decomp.site_ids
+        self.level_sites = {}
+        for lvl, (node_ids, _, _, _) in self.decomp.level_arrays.items():
+            lo, hi = int(node_ids[0]), int(node_ids[-1]) + 1
+            self.level_sites[lvl] = (ptr[lo:hi + 1] - ptr[lo],
+                                     ids[ptr[lo]:ptr[hi]])
+        orig = site_array(self.sites)
+        self.site_x = orig[:, 0].copy()
+        self.site_y = orig[:, 1].copy()
+        self.site_rr = orig[:, 2] + EPS
         self.site_id = np.array([s.id for s in self.sites], dtype=np.int64)
-        self.depth = max(v.cell.level for v in nodes)
+        self.depth = int(self.decomp.level[0])
         # bounding box of all disks, padded past the containment tolerance
         # and float rounding, so points outside it lie in no disk
-        box = (min(s.x - s.radius for s in sites),
-               min(s.y - s.radius for s in sites),
-               max(s.x + s.radius for s in sites),
-               max(s.y + s.radius for s in sites))
+        box = (float(np.min(orig[:, 0] - orig[:, 2])),
+               float(np.min(orig[:, 1] - orig[:, 2])),
+               float(np.max(orig[:, 0] + orig[:, 2])),
+               float(np.max(orig[:, 1] + orig[:, 2])))
         pad = EPS + 1e-9 * max(abs(b) for b in box)
         self.disk_box = (box[0] - pad, box[1] - pad, box[2] + pad,
                          box[3] + pad)

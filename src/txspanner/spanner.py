@@ -21,21 +21,21 @@ step creates a Python object per edge; `SpannerGraph.edges` and
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from scipy.spatial import cKDTree
 
-from .core import (EPS, Site, SpannerParams, cell_of, disk_contains,
-                   normalize, params_satisfy, spanner_parameters)
+from .core import (EPS, SpannerParams, cell_of, disk_contains, normalize,
+                   params_satisfy, spanner_parameters)
 from .decomposition import (NORMALIZE_MODE, VARIANT_GENERAL, VARIANT_RATIO,
                             VARIANT_SPREAD, annulus_cell_count,
                             augment_with_wspd, build_compressed_quadtree,
                             build_quadforest, build_quadtree, compute_wspd,
                             cone_assignments, derive_decomposition,
-                            forest_depth, partition_components, radius_ratio)
+                            forest_depth, partition_components, radius_ratio,
+                            site_array)
 
 INF = math.inf
 
@@ -376,16 +376,6 @@ def select_edges_bruteforce(targets, disks):
 _SWEEP_CHUNK = 1 << 14
 
 
-def _csr(lists):
-    """(indptr, flat) int64 arrays of a list of int lists."""
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, lists), np.int64, len(lists)),
-              out=indptr[1:])
-    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
-                       int(indptr[-1]))
-    return indptr, flat
-
-
 def _expand(lo, counts):
     """(owner, position) of every entry of the ranges
     [lo[i], lo[i] + counts[i]), in owner order."""
@@ -448,6 +438,20 @@ def _select_level(level, csr, active):
 _select_for_node = _select_level
 
 
+def _disk_csr(decomp):
+    """(indptr, flat) int64 arrays of each node's disks: R in site order,
+    then m when R lacks it."""
+    R_ptr, R_ids, m = decomp.R_ptr, decomp.R_ids, decomp.m
+    owner = np.repeat(np.arange(len(m)), np.diff(R_ptr))
+    has_m = np.bincount(owner[R_ids == m[owner]], minlength=len(m)) > 0
+    add = (m >= 0) & ~has_m
+    indptr = R_ptr + np.concatenate(([0], np.cumsum(add)))
+    flat = np.empty(int(indptr[-1]), dtype=np.int64)
+    flat[np.arange(len(R_ids)) + (indptr - R_ptr)[owner]] = R_ids
+    flat[indptr[1:][add] - 1] = m[add]
+    return indptr, flat
+
+
 def _decomposition_edges(sites, decomp):
     """All edges selected by the per-cone, level-increasing sweep.
 
@@ -460,13 +464,10 @@ def _decomposition_edges(sites, decomp):
     level's deactivations apply after it.
     """
     rows = cone_assignments(decomp)
-    nodes = decomp.nodes
-    csr = (np.array([(s.x, s.y) for s in sites], dtype=np.float64),
-           (np.array([s.radius for s in sites], dtype=np.float64) + EPS) ** 2,
-           *_csr([v.sites for v in nodes]),
-           *_csr([v.R + [v.m] if v.m is not None and v.m not in v.R else v.R
-                  for v in nodes]))
-    active = np.ones((decomp.params.k, len(sites)), dtype=bool)
+    xyr = site_array(sites)
+    csr = (xyr[:, :2], (xyr[:, 2] + EPS) ** 2, decomp.site_ptr,
+           decomp.site_ids, *_disk_csr(decomp))
+    active = np.ones((decomp.params.k, len(xyr)), dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty)]
     # cone_assignments gives each level one contiguous run of rows
@@ -595,15 +596,14 @@ def build_spanner_spread(sites, t, params=None):
                    VARIANT_SPREAD, scale, offset)
 
 
-def _component_edges(norm, comp, params, depth):
+def _component_edges(xyr, comp, params, depth):
     """Swept (source, target, cone) arrays of one partition class, in the
-    site ids of `norm`."""
-    sub = [Site(pos, norm[i].x, norm[i].y, norm[i].radius)
-           for pos, i in enumerate(comp)]
-    roots = build_quadforest(sub, params, depth=depth)
-    decomp = derive_decomposition(roots, params, VARIANT_RATIO, sub)
-    src, dst, cone = _decomposition_edges(sub, decomp)
+    site ids of the normalized site_array `xyr`."""
     comp = np.asarray(comp, dtype=np.int64)
+    sub = xyr[comp]
+    forest = build_quadforest(sub, params, depth=depth)
+    decomp = derive_decomposition(forest, params, VARIANT_RATIO, sub)
+    src, dst, cone = _decomposition_edges(sub, decomp)
     return comp[src], comp[dst], cone
 
 
@@ -623,11 +623,12 @@ def build_spanner_radius_ratio(sites, t, params=None):
     norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_RATIO],
                                     params.c)
     depth = forest_depth(radius_ratio(norm))
+    xyr = site_array(norm)
+    xy = np.ascontiguousarray(xyr[:, :2])
+    rad = xyr[:, 2]
     comps = partition_components(norm, params)
-    parts = [_component_edges(norm, comp, params, depth)
+    parts = [_component_edges(xyr, comp, params, depth)
              for comp in comps if len(comp) > 1]
-    xy = np.array([(s.x, s.y) for s in norm], dtype=np.float64)
-    rad = np.array([s.radius for s in norm], dtype=np.float64)
     pairs = euclidean_spanner(xy, t, rad.min())
     d = xy[pairs[:, 0]] - xy[pairs[:, 1]]
     reach = np.minimum(rad[pairs[:, 0]], rad[pairs[:, 1]]) + EPS

@@ -9,12 +9,13 @@ import pytest
 from conftest import normalized_for, random_instance
 from test_spanner import _clumped_instance
 from txspanner.cli import generate_sites
-from txspanner.core import (MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                            MODE_SMALLEST_RADIUS, SQRT2, cell_distance,
-                            cell_of, make_sites, normalize,
+from txspanner.core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
+                            MODE_SMALLEST_RADIUS, SQRT2, GridCell,
+                            cell_distance, cell_of, make_sites, normalize,
                             spanner_parameters)
 from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
-                                     VARIANT_SPREAD, QuadNode,
+                                     VARIANT_SPREAD, NodeArrays, QuadNode,
+                                     _subdivide,
                                      annulus_cell_count,
                                      augment_with_wspd,
                                      build_compressed_quadtree,
@@ -25,7 +26,7 @@ from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      derive_decomposition, forest_depth,
                                      near_cell_count, neighbor_pair_rows,
                                      partition_components, radius_ratio)
-from txspanner.oracle import materialize
+from txspanner.oracle import degenerate_instances, materialize
 
 PARAMS = spanner_parameters(2.0)
 
@@ -79,7 +80,7 @@ def test_quadforest_unit_ratio_depth_zero():
     sites = random_instance(100, model="constant", seed=45)
     norm, _, _ = normalize(sites, MODE_SMALLEST_RADIUS, PARAMS.c)
     assert abs(radius_ratio(norm) - 1.0) < 1e-9
-    roots = build_quadforest(norm, PARAMS)
+    roots = build_quadforest(norm, PARAMS).roots
     assert all(r.cell.level == 0 and r.is_leaf() for r in roots)
     cells = {cell_of(s.x, s.y, 0) for s in norm}
     assert len(roots) == len(cells)
@@ -88,7 +89,7 @@ def test_quadforest_unit_ratio_depth_zero():
 def test_quadforest_single_cell_single_root():
     sites = make_sites([(i * 1e-4, 0.0, 1.0) for i in range(5)])
     norm, _, _ = normalize(sites, MODE_SMALLEST_RADIUS, PARAMS.c)
-    roots = build_quadforest(norm, PARAMS)
+    roots = build_quadforest(norm, PARAMS).roots
     assert len(roots) == 1
     assert roots[0].is_leaf() and len(roots[0].sites) == 5
 
@@ -97,7 +98,7 @@ def test_quadforest_level_counts():
     sites = random_instance(150, model="pareto", seed=46, psi_cap=16.0)
     norm, _, _ = normalize(sites, MODE_SMALLEST_RADIUS, PARAMS.c)
     depth = forest_depth(radius_ratio(norm))
-    nodes = collect_nodes(build_quadforest(norm, PARAMS))
+    nodes = build_quadforest(norm, PARAMS).nodes
     assert max(v.cell.level for v in nodes) == depth
     for level in range(depth + 1):
         total = sum(len(v.sites) for v in nodes if v.cell.level == level)
@@ -108,6 +109,188 @@ def test_quadforest_rejects_unnormalized():
     sites = random_instance(30, model="constant", seed=47)
     with pytest.raises(ValueError):
         build_quadforest(sites, PARAMS)
+
+
+# Reference oracle: the QuadNode quadforest and the per-(node, site)
+# assignment loop that the arrays replaced. The arrays must give the same
+# levels, cells, parents, member lists in order, m, max_radius and R.
+
+def _build_quadforest_reference(sites, params, depth=None):
+    L = forest_depth(radius_ratio(sites)) if depth is None else depth
+    buckets = {}
+    for i, s in enumerate(sites):
+        c = cell_of(s.x, s.y, L)
+        buckets.setdefault((c.ix, c.iy), []).append(i)
+    roots = []
+    for (ix, iy), idxs in sorted(buckets.items()):
+        root = QuadNode(GridCell(L, ix, iy), idxs)
+        _subdivide(root, sites, 0)
+        roots.append(root)
+    return roots
+
+
+def _populate_assignments_reference(nodes, sites, params, variant):
+    lb = params.c - 2 if variant == VARIANT_GENERAL else params.c
+    ub = 2 * (params.c + 1)
+    for v in nodes:
+        diam = v.cell.diameter
+        best = -1.0
+        best_i = None
+        R = []
+        for i in v.sites:
+            r = sites[i].radius
+            if r > best or (r == best and i < best_i):
+                best = r
+                best_i = i
+            if lb * diam - EPS <= r < ub * diam + EPS:
+                R.append(i)
+        v.m = best_i
+        v.max_radius = best
+        v.R = R
+
+
+def _reference_rows(structure, sites, variant):
+    """Per node in id order: level, ix, iy, parent id, sites, m,
+    max_radius, R, from the reference loop over a QuadNode hierarchy."""
+    nodes = collect_nodes(structure)
+    _populate_assignments_reference(nodes, sites, PARAMS, variant)
+    return [(v.cell.level, v.cell.ix, v.cell.iy,
+             -1 if v.parent is None else v.parent.id, v.sites,
+             -1 if v.m is None else v.m, v.max_radius, v.R) for v in nodes]
+
+
+def _array_rows(decomp, parent):
+    sp, si = decomp.site_ptr.tolist(), decomp.site_ids.tolist()
+    rp, ri = decomp.R_ptr.tolist(), decomp.R_ids.tolist()
+    return [(lvl, ix, iy, p, si[sp[i]:sp[i + 1]], m, best, ri[rp[i]:rp[i + 1]])
+            for i, (lvl, ix, iy, p, m, best) in enumerate(zip(
+                decomp.level.tolist(), decomp.ix.tolist(), decomp.iy.tolist(),
+                parent.tolist(), decomp.m.tolist(),
+                decomp.max_radius.tolist()))]
+
+
+def _dump_reference(rows):
+    return "\n".join(f"{lvl} {ix} {iy} {len(sites)} {m} {len(R)}"
+                     for lvl, ix, iy, _, sites, m, _, R in rows)
+
+
+def _assert_forest_matches_reference(norm, depth=None):
+    forest = build_quadforest(norm, PARAMS, depth=depth)
+    decomp = derive_decomposition(forest, PARAMS, VARIANT_RATIO, norm)
+    ref = _reference_rows(_build_quadforest_reference(norm, PARAMS, depth),
+                          norm, VARIANT_RATIO)
+    assert decomp.level.dtype == decomp.site_ids.dtype == np.int64
+    assert _array_rows(decomp, forest.parent) == ref
+    assert decomposition_dump(decomp) == _dump_reference(ref)
+    # the lazy view carries the same tree
+    view = [(v.cell.level, v.cell.ix, v.cell.iy,
+             -1 if v.parent is None else v.parent.id, v.sites,
+             -1 if v.m is None else v.m, v.max_radius, v.R)
+            for v in decomp.nodes]
+    assert view == ref
+    assert all(u.parent is v for v in decomp.nodes for u in v.children)
+
+
+def _forest_reference_instances():
+    out = {f"uniform-square-{model}": random_instance(150, model=model,
+                                                      seed=58, psi_cap=16.0)
+           for model in ("pareto", "constant", "uniform")}
+    out["clustered"] = generate_sites(200, "clustered", "pareto", 59, 16.0)
+    # grid sites sit on cell boundaries after normalization
+    out["grid"] = generate_sites(144, "grid", "uniform", 60)
+    out["coincident"] = make_sites([(0.3, 0.7, 1.0 + 0.5 * (i % 3))
+                                    for i in range(7)])
+    out["one-site"] = make_sites([(0.2, 0.4, 0.3)])
+    out["two-sites"] = make_sites([(0.0, 0.0, 1.0), (5.0, 1.0, 3.0)])
+    out.update(degenerate_instances())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_forest_reference_instances()))
+def test_quadforest_arrays_match_reference(name):
+    sites = _forest_reference_instances()[name]
+    norm, _, _ = normalize(sites, MODE_SMALLEST_RADIUS, PARAMS.c)
+    _assert_forest_matches_reference(norm)
+
+
+def test_quadforest_boundaries_match_reference():
+    # normalized sites on the cell corners of every level and one ulp
+    # either side of them, with radii on both ends of the R interval
+    c = PARAMS.c
+    ub = 2 * (c + 1)
+    radii = [float(c)]
+    for lvl in range(4):
+        d = float(2 ** lvl)
+        radii += [c * d - EPS, ub * d + EPS, math.nextafter(ub * d + EPS, 0.0)]
+    coords = []
+    for lvl in range(5):
+        side = 2 ** lvl / SQRT2
+        for i in range(1, 4):
+            u = i * side
+            for x in (u, math.nextafter(u, 0.0), math.nextafter(u, math.inf)):
+                coords.append((x, 3 * side - x))
+    sites = make_sites([(x, y, radii[i % len(radii)])
+                        for i, (x, y) in enumerate(coords)])
+    _assert_forest_matches_reference(sites)
+
+
+def test_quadforest_components_match_reference():
+    # the ratio builder builds each far-apart class on its own, at the
+    # depth of the whole input
+    coords = [(s.x, s.y, s.radius) for s in
+              random_instance(60, model="pareto", seed=61, psi_cap=16.0)]
+    coords += [(x + 50.0, y, r) for x, y, r in coords[:30]]
+    norm, _, _ = normalize(make_sites(coords), MODE_SMALLEST_RADIUS, PARAMS.c)
+    depth = forest_depth(radius_ratio(norm))
+    comps = partition_components(norm, PARAMS)
+    assert len(comps) >= 2
+    for comp in comps:
+        sub = make_sites([(norm[i].x, norm[i].y, norm[i].radius)
+                          for i in comp])
+        _assert_forest_matches_reference(sub, depth)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_SPREAD, VARIANT_GENERAL])
+def test_tree_assignments_match_reference(variant):
+    # the tree variants share the vectorized assignment step
+    for sites in (random_instance(120, model="pareto", seed=62),
+                  degenerate_instances()["tight-clusters"]):
+        norm, _, _ = normalized_for(sites, PARAMS, variant)
+        structure = build_hierarchy(norm, PARAMS, variant)
+        ref = _reference_rows(structure, norm, variant)
+        decomp = derive_decomposition(structure, PARAMS, variant, norm)
+        parent = NodeArrays.from_tree(structure).parent
+        assert _array_rows(decomp, parent) == ref
+        assert decomposition_dump(decomp) == _dump_reference(ref)
+
+
+def test_ratio_paths_build_no_quadnode(monkeypatch):
+    # the ratio hierarchy, its decomposition, the sweep over it and the
+    # geometric oracle stay free of per-cell Python objects
+    import txspanner.spanner as spanner_mod
+    from txspanner.reachability import GeomOracle
+    calls = [0]
+    init = QuadNode.__init__
+
+    def counting(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(QuadNode, "__init__", counting)
+    sites = random_instance(300, model="pareto", seed=63, psi_cap=16.0)
+    norm, _, _ = normalized_for(sites, PARAMS, VARIANT_RATIO)
+    decomp = derive_decomposition(build_quadforest(norm, PARAMS), PARAMS,
+                                  VARIANT_RATIO, norm)
+    spanner_mod._decomposition_edges(norm, decomp)
+    spanner_mod.build_spanner_radius_ratio(sites, 2.0)
+    GeomOracle(sites)
+    assert len(decomp.nodes) > 1
+    assert calls[0] == 0
+    # reading the view builds it, once
+    assert decomp.nodes[0].cell.level == int(decomp.level[0])
+    assert calls[0] == len(decomp.nodes)
+    list(decomp.nodes)
+    assert calls[0] == len(decomp.nodes)
 
 
 # ---------------------------------------------------------------------------

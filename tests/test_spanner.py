@@ -8,7 +8,8 @@ import pytest
 
 from conftest import euclid, random_instance
 from txspanner.core import Site, make_sites, spanner_parameters
-from txspanner.oracle import audit_stretch, dijkstra_all, materialize
+from txspanner.oracle import (audit_stretch, degenerate_instances,
+                              dijkstra_all, materialize)
 from txspanner.spanner import (BUILDERS, SpannerGraph,
                                build_spanner_general,
                                build_spanner_radius_ratio,
@@ -91,6 +92,19 @@ def test_single_site_empty_spanner(variant):
         assert (H.n, H.m, H.edges, H.edge_cones) == (n, 0, [], None)
         assert H.src.dtype == H.dst.dtype == np.int64
         assert H.out_csr[0].tolist() == [0] * (n + 1)
+
+
+@pytest.mark.parametrize("variant", sorted(BUILDERS))
+def test_degenerate_instances_keep_stretch_and_witness(variant):
+    for name, sites in degenerate_instances().items():
+        if name == "duplicates" and variant != "ratio":
+            with pytest.raises(ValueError, match="duplicate"):
+                BUILDERS[variant](sites, 2.0)
+            continue
+        H = BUILDERS[variant](sites, 2.0)
+        assert H.m > 0, name
+        assert audit_stretch(sites, H, 2.0).ok, name
+        assert verify_shorter_edge(sites, H) == [], name
 
 
 def test_spread_keeps_only_transmission_edge():
@@ -229,6 +243,9 @@ def _reference_edges(sites, decomp, envelope=False):
     from txspanner.core import disk_contains
     from txspanner.decomposition import cone_assignments
 
+    if isinstance(sites, np.ndarray):
+        # the ratio builder sweeps each component's site_array rows
+        sites = make_sites(sites.tolist())
     nodes = decomp.nodes
     groups = {}
     for cone, _, v, tau in sorted(cone_assignments(decomp).tolist()):
