@@ -53,7 +53,8 @@ def _coords(sites):
 
 
 def materialize(sites):
-    """All directed pairs (p, q) with q inside D(p), weights |pq|."""
+    """All directed pairs (p, q) with q inside D(p), weights |pq|: the
+    dense reference for `reachability.transmission_edges`."""
     n = len(sites)
     if n > MATERIALIZE_CAP:
         raise ValueError(

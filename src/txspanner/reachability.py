@@ -1,10 +1,12 @@
 """Reachability oracles: exact site-to-site plus the geometric extension.
 
 The base oracle answers "can site s reach site q" exactly via strongly
-connected components and condensation bitsets. The geometric oracle
-answers "can site s reach the plane point t", by reducing t to a small
-cover set of sites: any disk containing t also contains a cover member,
-so s reaches t exactly when it reaches some member.
+connected components and condensation bitsets, over the transmission
+graph G enumerated by kd-tree fixed-radius searches per radius class, so
+it has no size cap. The geometric oracle answers "can site s reach the
+plane point t", by reducing t to a small cover set of sites: any disk
+containing t also contains a cover member, so s reaches t exactly when it
+reaches some member.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-# cone_range_for_cell is unused here but stays in this namespace: the
-# benchmark's trace mode wraps it in this module by name
+# cone_range_for_cell and materialize are unused here but stay in this
+# namespace: the benchmark's trace mode wraps them in this module by name
 from .core import (EPS, cell_of, cone_range_for_cell, cone_ranges,
                    disk_contains, normalize, spanner_parameters)
 from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
@@ -26,32 +30,85 @@ from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
 from .oracle import materialize
 from .spanner import _expand
 
+# sources per chunk of `transmission_edges`: bounds the candidate pairs
+# held at once; at most 2**16, so a chunk's edges sort by 16-bit offsets
+_G_CHUNK = 2048
+
+
+def transmission_edges(sites):
+    """All directed edges (src, dst) of the transmission graph, q in D(p)
+    and p != q, sorted by src (the dst of one src in no particular order).
+
+    Sites are taken in chunks of `_G_CHUNK` consecutive indices. Per chunk
+    and power-of-two radius class, one kd-tree fixed-radius search
+    (Bentley, 1975) against all sites yields the candidates within the
+    largest padded radius of the chunk's class members; a candidate is
+    kept iff dx^2 + dy^2 <= (r + EPS)^2, the arithmetic of `materialize`
+    and `disk_contains`. Memory grows with the edges, not with n^2, so
+    there is no size cap.
+    """
+    xyr = site_array(sites)
+    x, y, r = xyr[:, 0], xyr[:, 1], xyr[:, 2]
+    rr = (r + EPS) ** 2
+    cls = np.frexp(r)[1]
+    tree = cKDTree(xyr[:, :2])
+    srcs, dsts = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, len(xyr), _G_CHUNK):
+        ccls = cls[lo:lo + _G_CHUNK]
+        src, dst = [], []
+        for k in np.unique(ccls):
+            members = lo + np.flatnonzero(ccls == k)
+            reach = (float(np.max(r[members])) + EPS) * (1.0 + 1e-9)
+            pairs = cKDTree(xyr[members, :2]).sparse_distance_matrix(
+                tree, reach, output_type="ndarray")
+            s = members[pairs["i"]]
+            d = pairs["j"]
+            dx = x[s] - x[d]
+            dy = y[s] - y[d]
+            keep = (s != d) & (dx * dx + dy * dy <= rr[s])
+            src.append(s[keep])
+            dst.append(d[keep])
+        src = np.concatenate(src)
+        dst = np.concatenate(dst)
+        # a radix sort: numpy sorts 16-bit keys stably in linear time
+        order = np.argsort((src - lo).astype(np.uint16), kind="stable")
+        srcs.append(src[order])
+        dsts.append(dst[order])
+    return np.concatenate(srcs), np.concatenate(dsts)
+
 
 class BaseOracle:
     """Exact transitive reachability over the transmission graph.
 
-    Strongly connected components are condensed; each component keeps a
-    bitset of reachable components, filled in reverse topological order.
+    G comes from `transmission_edges`, with no size cap. Strongly
+    connected components are condensed and numbered in topological order,
+    so every condensation edge goes from a lower to a higher number; `comp`
+    holds each site's number. Component p keeps a bitset of the components
+    it reaches, bit j standing for component p + j, filled in reverse
+    topological order: an isolated component costs one bit, not p.
     """
 
     def __init__(self, sites):
-        graph = materialize(sites)
-        self.n = graph.n
-        if self.n == 0:
+        src, dst = transmission_edges(sites)
+        self.n = n = len(sites)
+        if n == 0:
             self.comp = np.zeros(0, dtype=np.int64)
             self._bits = []
             return
-        ncomp, labels = connected_components(graph.csr, directed=True,
+        # the edges come sorted by src: a CSR without sorting or summing
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        graph = csr_matrix((np.ones(len(dst)), dst, indptr), shape=(n, n))
+        ncomp, labels = connected_components(graph, directed=True,
                                              connection="strong")
-        self.comp = labels
+        del graph
         # condensation edges: distinct (source, target) component pairs
-        src = labels[np.repeat(np.arange(self.n), np.diff(graph.csr.indptr))]
-        dst = labels[graph.csr.indices]
+        src = labels[src]
+        dst = labels[dst]
         cross = src != dst
         cu, cv = np.divmod(
             np.unique(src[cross].astype(np.int64) * ncomp + dst[cross]), ncomp)
         indeg = np.bincount(cv, minlength=ncomp).tolist()
-        # Python ints: the bitsets below shift by component labels
         succ = [[] for _ in range(ncomp)]
         for a, b in zip(cu.tolist(), cv.tolist()):
             succ[a].append(b)
@@ -64,12 +121,18 @@ class BaseOracle:
                 indeg[d] -= 1
                 if indeg[d] == 0:
                     order.append(d)
+        pos = [0] * ncomp
+        for p, c in enumerate(topo):
+            pos[c] = p
+        self.comp = np.asarray(pos, dtype=np.int64)[labels]
+        # Python ints: bit j of bits[p] is component p + j
         bits = [0] * ncomp
-        for c in reversed(topo):
-            b = 1 << c
-            for d in succ[c]:
-                b |= bits[d]
-            bits[c] = b
+        for p in range(ncomp - 1, -1, -1):
+            b = 1
+            for d in succ[topo[p]]:
+                q = pos[d]
+                b |= bits[q] << (q - p)
+            bits[p] = b
         self._bits = bits
 
     def reach(self, s, q):
@@ -78,9 +141,9 @@ class BaseOracle:
         if not (0 <= s < self.n and 0 <= q < self.n):
             raise ValueError(f"site pair ({s}, {q}) out of range for "
                              f"{self.n} sites")
-        cs = int(self.comp[s])
-        cq = int(self.comp[q])
-        return bool((self._bits[cs] >> cq) & 1)
+        cs = self.comp.item(s)
+        cq = self.comp.item(q)
+        return cq >= cs and bool((self._bits[cs] >> (cq - cs)) & 1)
 
 
 @dataclass

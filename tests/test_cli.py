@@ -1,7 +1,10 @@
 """Command-line surface: generation, build, verify, queries, stats."""
 
+import random
+
 import pytest
 
+import txspanner.oracle as oracle_mod
 from txspanner.cli import generate_sites, main
 from txspanner.core import load_sites
 from txspanner.spanner import SpannerGraph, build_spanner_radius_ratio
@@ -276,6 +279,38 @@ def test_reach_far_target_is_false(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == ["cover set (0): ",
                                                     "false"]
+
+
+def test_reach_subcommand_past_materialize_cap(tmp_path, capsys,
+                                               monkeypatch):
+    n = 2500
+    assert n > oracle_mod.MATERIALIZE_CAP
+    path = tmp_path / "sites.txt"
+    assert main(["generate", "--n", str(n), "--radius-model", "pareto",
+                 "--psi-cap", "16", "--seed", "117", "--out",
+                 str(path)]) == 0
+    sites = load_sites(path)
+    rng = random.Random(118)
+    queries = []
+    for _ in range(8):
+        q = sites[rng.randrange(n)]
+        queries.append((rng.randrange(n), q.x + rng.uniform(-0.05, 0.05),
+                        q.y + rng.uniform(-0.05, 0.05)))
+        queries.append((rng.randrange(n), rng.uniform(-0.5, 1.5),
+                        rng.uniform(-0.5, 1.5)))
+    capsys.readouterr()
+    got = []
+    for s, x, y in queries:
+        assert main(["reach", str(path), "--source", str(s),
+                     "--target-x", repr(x), "--target-y", repr(y)]) == 0
+        got.append(capsys.readouterr().out.strip() == "true")
+    # the reference alone may exceed the cap
+    monkeypatch.setattr(oracle_mod, "MATERIALIZE_CAP", n)
+    g = oracle_mod.materialize(sites)
+    want = [oracle_mod.geom_reach_oracle(sites, g, s, (x, y))
+            for s, x, y in queries]
+    assert got == want
+    assert any(want) and not all(want)
 
 
 # ---------------------------------------------------------------------------

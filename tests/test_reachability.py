@@ -5,16 +5,23 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, shortest_path
 
+import txspanner.oracle as oracle_mod
+import txspanner.reachability as reach_mod
 from conftest import random_instance
 from test_spanner import _clumped_instance
+from txspanner.cli import generate_sites
 from txspanner.core import (EPS, SQRT2, cell_of, cone_range_for_cell,
                             disk_contains, make_sites)
 from txspanner.geom_query import DiskContainment
-from txspanner.oracle import materialize, reachable_from
+from txspanner.oracle import (degenerate_instances, geom_reach_oracle,
+                              materialize, reachable_from)
 from txspanner.reachability import (BaseOracle, GeomOracle, cover_set,
                                     cover_set_bound, geom_reach,
-                                    geom_reach_bruteforce)
+                                    geom_reach_bruteforce,
+                                    transmission_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +83,127 @@ def test_base_matches_bfs_oracle():
         if s not in reach_rows:
             reach_rows[s] = reachable_from(g, s)
         assert base.reach(s, q) == bool(reach_rows[s][q])
+
+
+# (distribution, radius model, seed, n) of the generated identity cases
+GENERATED = [(dist, model, seed, n)
+             for dist in ("uniform-square", "clustered")
+             for model in ("constant", "uniform", "pareto")
+             for seed, n in ((0, 300), (1, 700), (2, 2000))]
+
+
+def _assert_edges_match_materialize(sites):
+    src, dst = transmission_edges(sites)
+    assert np.all(np.diff(src) >= 0)
+    order = np.lexsort((dst, src))
+    csr = materialize(sites).csr
+    n = len(sites)
+    assert np.array_equal(np.bincount(src, minlength=n), np.diff(csr.indptr))
+    assert np.array_equal(dst[order], csr.indices)
+
+
+def _assert_oracle_matches_condensation(sites):
+    """BaseOracle's partition (up to renaming) and its reach on all pairs
+    against scipy's SCCs of materialize and the reachability closure of
+    their condensation."""
+    base = BaseOracle(sites)
+    csr = materialize(sites).csr
+    ncomp, labels = connected_components(csr, directed=True,
+                                         connection="strong")
+    assert base.comp.max() + 1 == ncomp
+    # a bijection between the two labelings
+    assert len(set(zip(base.comp.tolist(), labels.tolist()))) == ncomp
+    src = labels[np.repeat(np.arange(len(sites)), np.diff(csr.indptr))]
+    dst = labels[csr.indices]
+    cond = csr_matrix((np.ones(len(src)), (src, dst)), shape=(ncomp, ncomp))
+    closed = np.isfinite(shortest_path(cond, directed=True, unweighted=True))
+    # sites with equal labels are interchangeable, so one representative
+    # per component covers every site pair
+    rep = np.unique(labels, return_index=True)[1].tolist()
+    got = np.array([[base.reach(s, q) for q in rep] for s in rep])
+    assert np.array_equal(got, closed)
+
+
+def test_transmission_edges_keep_pairs_within_eps():
+    # unit-lattice neighbours lie EPS/2 outside the disks of radii
+    # 1 - EPS/2 and sqrt(2) - EPS/2: only the EPS padding keeps them
+    sites = make_sites([(float(i % 6), float(i // 6),
+                         (1.0, math.sqrt(2.0))[i % 2] - EPS / 2)
+                        for i in range(36)])
+    assert materialize(sites).m > 0
+    _assert_edges_match_materialize(sites)
+    _assert_oracle_matches_condensation(sites)
+
+
+@pytest.mark.parametrize("name", sorted(degenerate_instances()))
+def test_transmission_edges_match_materialize_degenerate(name):
+    sites = degenerate_instances()[name]
+    _assert_edges_match_materialize(sites)
+    _assert_oracle_matches_condensation(sites)
+
+
+@pytest.mark.parametrize("dist,model,seed,n", GENERATED)
+def test_transmission_edges_match_materialize(dist, model, seed, n):
+    sites = generate_sites(n, dist, model, seed, 16.0)
+    _assert_edges_match_materialize(sites)
+    if n <= 700:
+        _assert_oracle_matches_condensation(sites)
+
+
+def test_transmission_edges_across_chunks(monkeypatch):
+    sites = generate_sites(900, "clustered", "pareto", 3, 16.0)
+    monkeypatch.setattr(reach_mod, "_G_CHUNK", 7)
+    _assert_edges_match_materialize(sites)
+    _assert_oracle_matches_condensation(sites)
+
+
+def test_base_bitsets_linear_in_components():
+    # 50,000 disjoint disks and a one-way chain of five: a bitset spans
+    # only the components that its component reaches, so the total size
+    # is O(C), not the sum of the component numbers
+    side = 224
+    grid = [(10.0 * (i % side), 10.0 * (i // side), 1.0)
+            for i in range(50000)]
+    chain = [(1e4 + x, 0.0, r) for x, r in ((0, 8.0), (8, 4.0), (12, 2.0),
+                                            (14, 1.0), (15, 0.5))]
+    sites = make_sites(grid + chain)
+    base = BaseOracle(sites)
+    ncomp = len(sites)
+    assert base.comp.max() + 1 == ncomp
+    assert sum(b.bit_length() for b in base._bits) <= 2 * ncomp
+    first = 50000
+    for i in range(5):
+        for j in range(5):
+            assert base.reach(first + i, first + j) == (i <= j)
+    rng = random.Random(114)
+    for _ in range(2000):
+        s = rng.randrange(len(sites))
+        q = rng.randrange(len(sites))
+        want = s == q or (first <= s <= q)
+        assert base.reach(s, q) == want
+
+
+def test_geom_oracle_past_materialize_cap(monkeypatch):
+    n = 2500
+    assert n > oracle_mod.MATERIALIZE_CAP
+    sites = generate_sites(n, "uniform-square", "pareto", 115, 16.0)
+    oracle = GeomOracle(sites)
+    monkeypatch.setattr(oracle_mod, "MATERIALIZE_CAP", n)
+    g = materialize(sites)
+    rng = random.Random(116)
+    hits = 0
+    for _ in range(150):
+        s = rng.randrange(n)
+        q = sites[rng.randrange(n)]
+        if rng.random() < 0.5:
+            pt = (q.x + rng.uniform(-0.05, 0.05),
+                  q.y + rng.uniform(-0.05, 0.05))
+        else:
+            pt = (rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5))
+        want = geom_reach_oracle(sites, g, s, pt)
+        assert geom_reach(oracle, s, pt) == want
+        hits += want
+    assert 0 < hits < 150
 
 
 # ---------------------------------------------------------------------------
