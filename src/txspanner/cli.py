@@ -129,7 +129,7 @@ def _cmd_verify(args):
         failed |= not report.ok
     else:
         print(f"stretch check: skipped (n > {oracle_mod.DIJKSTRA_CAP})")
-    if H.n <= oracle_mod.MATERIALIZE_CAP and H.params is not None:
+    if H.params is not None:
         bad = verify_shorter_edge(sites, H)
         print(f"shorter-edge check: {'ok' if not bad else f'{len(bad)} violations'}")
         failed |= bool(bad)

@@ -6,8 +6,8 @@ asymptotics, is the contract: answers must match a linear scan exactly
 (nearest-neighbor ties broken by smallest id, containment decided by the
 shared disk predicate). No code in the package uses either any more:
 the builders select edges with the shared containment sweep, and the
-geometric reachability oracle probes its cells with batched numpy
-arithmetic. Both stay as the tests' references and because the
+geometric reachability oracle probes the cells of all levels with one
+batched numpy test. Both stay as the tests' references and because the
 benchmark's trace mode wraps their methods by name.
 """
 
@@ -106,8 +106,9 @@ class DiskContainment:
     (r_s + EPS)^2 - |sq|^2 with subtree pruning via bounding boxes and
     the largest radius below each node. The radius is padded by the
     tolerance of `disk_contains`, so the maximizer contains q whenever
-    any site does. `GeomOracle.probe` returns the same site per node;
-    the tests check it against this structure.
+    any site does. `GeomOracle.probe` and the cover sets' flat probe
+    return the same site per node; the tests check them against this
+    structure.
     """
 
     __slots__ = ("sites", "_tree")

@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 # cone_range_for_cell and materialize are unused here but stay in this
 # namespace: the benchmark's trace mode wraps them in this module by name
-from .core import (EPS, cell_of, cone_range_for_cell, cone_ranges,
+from .core import (EPS, SQRT2, cone_range_for_cell, cone_ranges,
                    disk_contains, normalize, spanner_parameters)
 from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
                             annulus_cell_count, build_quadforest,
@@ -164,12 +164,16 @@ class GeomOracle:
 
     `decomp` is the ratio variant's annulus decomposition of the
     normalized sites, held as arrays (see AnnulusDecomposition); building
-    it creates no QuadNode. Per level, `level_sites[level]` is a CSR (ptr,
-    members) of the site indices of each node, in `decomp.level_arrays`
-    node order: a slice of the decomposition's site CSR, since a level is
-    one contiguous id range. Probes read the original coordinates
-    (`site_x`, `site_y`), the padded radii `site_rr` = r + EPS and the ids
-    `site_id`, so their containment verdicts are those of `disk_contains`.
+    it creates no QuadNode. Cover sets read one flat table over all
+    levels: row i is a node's cell (`row_level`, `row_ix`, `row_iy`), and
+    its members are the entries with `member_row` == i, stored with their
+    original coordinates (`member_x`, `member_y`), squared padded radii
+    `member_rr2` = (r + EPS)^2 and ids `member_id`, so containment
+    verdicts are those of `disk_contains`. The table holds every level-0
+    node, and each node of a level >= 1 whose largest padded radius reaches
+    the annulus's inner gap of (c - 2) diameters 2^level: such a node is
+    only ever probed as an annulus cell, so a node left out could never
+    hold a hit.
     """
 
     def __init__(self, sites, base=None, t=2.0):
@@ -190,20 +194,14 @@ class GeomOracle:
         self.offset = offset
         xyr = site_array(norm)
         forest = build_quadforest(xyr, self.params)
-        self.decomp = derive_decomposition(forest, self.params, VARIANT_RATIO,
-                                           xyr)
-        ptr, ids = self.decomp.site_ptr, self.decomp.site_ids
-        self.level_sites = {}
-        for lvl, (node_ids, _, _, _) in self.decomp.level_arrays.items():
-            lo, hi = int(node_ids[0]), int(node_ids[-1]) + 1
-            self.level_sites[lvl] = (ptr[lo:hi + 1] - ptr[lo],
-                                     ids[ptr[lo]:ptr[hi]])
+        self.decomp = d = derive_decomposition(forest, self.params,
+                                               VARIANT_RATIO, xyr)
         orig = site_array(self.sites)
         self.site_x = orig[:, 0].copy()
         self.site_y = orig[:, 1].copy()
         self.site_rr = orig[:, 2] + EPS
         self.site_id = np.array([s.id for s in self.sites], dtype=np.int64)
-        self.depth = int(self.decomp.level[0])
+        self.depth = int(d.level[0])
         # bounding box of all disks, padded past the containment tolerance
         # and float rounding, so points outside it lie in no disk
         box = (float(np.min(orig[:, 0] - orig[:, 2])),
@@ -213,32 +211,77 @@ class GeomOracle:
         pad = EPS + 1e-9 * max(abs(b) for b in box)
         self.disk_box = (box[0] - pad, box[1] - pad, box[2] + pad,
                          box[3] + pad)
+        # The node prune, in normalized units. A hit at an annulus cell
+        # needs the query's normalized point and a member's normalized site
+        # in cells (c - 2) diameters apart, and the member's disk to hold
+        # the query in original units. Each normalized coordinate is
+        # fl(fl(v * scale) + offset), each cell index floor(fl(v / side)),
+        # and the original test d^2 <= (r + EPS)^2 is exact to a few ulps;
+        # queries outside the disk box stop before the table. So every
+        # rounding error is below 32 ulps of B = scale * |disk box| +
+        # |offset|, which is finite because normalize caps the extent at
+        # MAX_NORMALIZED_EXTENT, and the margin 2^-40 B, over 4096 ulps of
+        # B, covers them all.
+        big = (scale * max(abs(b) for b in self.disk_box)
+               + max(abs(offset[0]), abs(offset[1])))
+        reach = d.max_radius + scale * EPS + 2.0 ** -40 * big
+        rows = np.flatnonzero((d.level == 0) | (
+            reach >= (self.params.c - 2) * np.ldexp(1.0, d.level)))
+        self._fill_table(rows)
+
+    def _fill_table(self, rows):
+        """Make the table rows of the decomposition's nodes `rows`."""
+        d = self.decomp
+        self.row_level = d.level[rows]
+        self.row_ix = d.ix[rows]
+        self.row_iy = d.iy[rows]
+        (self.member_row, self.member_x, self.member_y, self.member_rr2,
+         self.member_id) = self._members(rows)
+
+    def _members(self, nodes):
+        """(owner, x, y, (r + EPS)^2, id) of the sites of the decomposition's
+        `nodes`, node by node; owner is the position in `nodes`."""
+        d = self.decomp
+        lo = d.site_ptr[nodes]
+        owner, at = _expand(lo, d.site_ptr[nodes + 1] - lo)
+        m = d.site_ids[at]
+        rr = self.site_rr[m]
+        return owner, self.site_x[m], self.site_y[m], rr * rr, self.site_id[m]
 
     @property
     def stored_site_refs(self):
-        return sum(len(members) for _, members in self.level_sites.values())
+        return len(self.member_row)
 
     def probe(self, level, pos, x, y):
-        """Per node at positions `pos` of `level`, the id of a site whose
-        disk contains (x, y), or -1.
+        """Per node at positions `pos` of `level` (in `decomp.level_arrays`
+        node order), the id of a site whose disk contains (x, y), or -1:
+        `_first_containing` over those nodes' sites."""
+        nodes = self.decomp.level_arrays[level][0][pos]
+        at, ids = _first_containing(*self._members(nodes), x, y)
+        out = np.full(len(nodes), -1, dtype=np.int64)
+        out[at] = ids
+        return out
 
-        Each node answers with its maximizer of ((r + EPS)^2 - d^2, -id),
-        accepted iff d^2 <= (r + EPS)^2: the arithmetic of `disk_contains`,
-        and the site `DiskContainment.query` returns.
-        """
-        ptr, members = self.level_sites[level]
-        counts = ptr[pos + 1] - ptr[pos]
-        owner, at = _expand(ptr[pos], counts)
-        m = members[at]
-        dx = x - self.site_x[m]
-        dy = y - self.site_y[m]
-        d2 = dx * dx + dy * dy
-        rr = self.site_rr[m]
-        rr2 = rr * rr
-        ids = self.site_id[m]
-        order = np.lexsort((ids, d2 - rr2, owner))
-        best = order[np.cumsum(counts) - counts]
-        return np.where(d2[best] <= rr2[best], ids[best], -1)
+
+def _first_containing(owner, mx, my, rr2, ids, x, y):
+    """(owners ascending, site ids): per owner with a member whose disk
+    contains (x, y), its maximizer of (rr2 - d^2, -id), the site
+    `DiskContainment.query` returns.
+
+    Members are tested with d^2 <= rr2, rr2 = (r + EPS)^2, the arithmetic
+    of `disk_contains`, and only the containing ones are sorted.
+    """
+    dx = x - mx
+    dy = y - my
+    d2 = dx * dx + dy * dy
+    inside = np.flatnonzero(d2 <= rr2)
+    owner = owner[inside]
+    ids = ids[inside]
+    order = np.lexsort((ids, d2[inside] - rr2[inside], owner))
+    owner = owner[order]
+    first = np.ones(len(owner), dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    return owner[first], ids[order[first]]
 
 
 def cover_set_bound(params):
@@ -246,25 +289,27 @@ def cover_set_bound(params):
     return near_cell_count(params.c) + params.k * annulus_cell_count(params.c)
 
 
-def _gap2(ix, iy, sigma):
-    """Squared gaps, in cell sides, from cell sigma to the same-level
-    cells (ix, iy)."""
-    gx = np.maximum(np.abs(ix - sigma.ix) - 1, 0)
-    gy = np.maximum(np.abs(iy - sigma.iy) - 1, 0)
-    return gx * gx + gy * gy
-
-
 def cover_set(oracle, point):
     """Cover set for an arbitrary plane point.
 
-    Phase 1 probes every nonempty level-0 cell within gap (c-2) of the
-    point's cell. Phase 2 climbs the levels for all k cones at once: per
-    level it probes, in one batch, the annulus cells of the point's cell
-    that lie in the doubled cone of a cone still searching. Every hit joins
-    the cover and stops each cone whose doubled cone holds its cell, so a
+    Phase 1 takes a hit of every nonempty level-0 cell within gap (c-2) of
+    the point's cell. Phase 2 answers the paper's climb over the levels,
+    cone by cone, in one pass: the annulus cells of the point's cell
+    (gap in [c-2, 2c) diameters) at every level are probed together with
+    the phase-1 cells, and cone ranges (doubled cones, apex at the centre
+    of the point's cell) are taken for the annulus hits only. stop[j] is
+    the lowest level of a hit whose range holds cone j, and a hit at level
+    l joins the cover iff some cone j of its range has stop[j] == l. So a
     cone stops at its first level with a hit, after taking every hit of
-    that level in its doubled cone. A point outside the bounding box of all
-    disks gets an empty cover; a non-finite point raises ValueError.
+    that level in its doubled cone, and a hit whose cones all stopped lower
+    joins no cover and moves no stop. A level-0 cell at gap^2 exactly
+    2 (c-2)^2 takes part in both phases.
+
+    The probe runs over all members of the oracle's table first, and
+    gaps are computed only for the rows holding a containing member: the
+    same hits, since a row's answer does not depend on the other rows. A
+    point outside the bounding box of all disks gets an empty cover; a
+    non-finite point raises ValueError.
     """
     c = oracle.params.c
     k = oracle.params.k
@@ -278,51 +323,44 @@ def cover_set(oracle, point):
     ty = y * oracle.scale + oracle.offset[1]
     lo2 = 2 * (c - 2) * (c - 2)
     hi2 = 8 * c * c
-    arrays = oracle.decomp.level_arrays
-    phase1 = []
-    if 0 in arrays:
-        _, ix, iy, _ = arrays[0]
-        g2 = _gap2(ix, iy, cell_of(tx, ty, 0))
-        q = oracle.probe(0, np.flatnonzero(g2 <= lo2), x, y)
-        phase1 = q[q >= 0].tolist()
-    found = set(phase1)
+    rows, ids = _first_containing(oracle.member_row, oracle.member_x,
+                                  oracle.member_y, oracle.member_rr2,
+                                  oracle.member_id, x, y)
+    # the point's cell at each hit's level, with cell_of's float side
+    lvl = oracle.row_level[rows]
+    side = np.ldexp(1.0, lvl) / SQRT2
+    kx = np.floor(tx / side).astype(np.int64)
+    ky = np.floor(ty / side).astype(np.int64)
+    ix = oracle.row_ix[rows]
+    iy = oracle.row_iy[rows]
+    gx = np.maximum(np.abs(ix - kx) - 1, 0)
+    gy = np.maximum(np.abs(iy - ky) - 1, 0)
+    g2 = gx * gx + gy * gy
+    phase1 = ids[(lvl == 0) & (g2 <= lo2)].tolist()
 
-    active = np.ones(k, dtype=bool)
-    for lvl in range(oracle.depth + 1):
-        if lvl not in arrays:
-            continue
-        _, ix, iy, _ = arrays[lvl]
-        sigma = cell_of(tx, ty, lvl)
-        g2 = _gap2(ix, iy, sigma)
-        cand = np.flatnonzero((g2 >= lo2) & (g2 < hi2))
-        # annulus cells lie at least one side from the apex, so no corner
-        # coincides with it
-        side = sigma.side
-        ax, ay = sigma.center()
-        cx0 = ix[cand] * side
-        cy0 = iy[cand] * side
-        cx1 = (ix[cand] + 1) * side
-        cy1 = (iy[cand] + 1) * side
-        angs = np.empty((4, len(cand)))
-        for ci, (cx, cy) in enumerate(((cx0, cy0), (cx1, cy0), (cx1, cy1),
-                                       (cx0, cy1))):
-            angs[ci] = np.arctan2(cy - ay, cx - ax)
-        j_lo, j_hi = cone_ranges(angs, k)
-        # cones[a, w] is the w-th cone of candidate a's range, valid where
-        # w <= width[a]; a range spans a few cones, far fewer than k
-        width = j_hi - j_lo
-        offs = np.arange(int(width.max(initial=-1)) + 1)
-        cones = (j_lo[:, None] + offs) % k
-        valid = offs <= width[:, None]
-        live = (active[cones] & valid).any(axis=1)
-        cand, cones, valid = cand[live], cones[live], valid[live]
-        q = oracle.probe(lvl, cand, x, y)
-        hit = q >= 0
-        found.update(q[hit].tolist())
-        active[cones[hit][valid[hit]]] = False
-        if not active.any():
-            break
-    return CoverSet(sorted(found), phase1)
+    ring = np.flatnonzero((g2 >= lo2) & (g2 < hi2))
+    lvl, side, kx, ky, ix, iy, ids = (a[ring] for a in
+                                      (lvl, side, kx, ky, ix, iy, ids))
+    # annulus cells lie at least one side from the apex, so no corner
+    # coincides with it
+    ax = (kx + 0.5) * side
+    ay = (ky + 0.5) * side
+    cx0 = ix * side
+    cy0 = iy * side
+    cx1 = (ix + 1) * side
+    cy1 = (iy + 1) * side
+    angs = np.empty((4, len(ring)))
+    for ci, (cx, cy) in enumerate(((cx0, cy0), (cx1, cy0), (cx1, cy1),
+                                   (cx0, cy1))):
+        angs[ci] = np.arctan2(cy - ay, cx - ax)
+    j_lo, j_hi = cone_ranges(angs, k)
+    # one entry per (hit, cone of its range); a wrapping cell has none
+    owner, cone = _expand(j_lo, np.maximum(j_hi - j_lo + 1, 0))
+    cone %= k
+    stop = np.full(k, oracle.depth + 1, dtype=np.int64)
+    np.minimum.at(stop, cone, lvl[owner])
+    joined = owner[stop[cone] == lvl[owner]]
+    return CoverSet(sorted(set(phase1).union(ids[joined].tolist())), phase1)
 
 
 def geom_reach(oracle, s, point, explain=False):

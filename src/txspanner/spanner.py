@@ -690,16 +690,17 @@ def verify_shorter_edge(sites, H, params=None):
     UDG(r_min).
     Returns the list of violating (p, q) pairs.
     """
-    from .oracle import materialize
+    # reachability imports this module
+    from .reachability import transmission_edges
 
     params = params or H.params
     t = H.t
     n = len(sites)
     xy = np.array([(s.x, s.y) for s in sites], dtype=np.float64)
-    csc = materialize(sites).csr.tocsc()
-    # the transmission edges (p, q) missing from H, by target
-    p_all = csc.indices.astype(np.int64)
-    q_all = np.repeat(np.arange(n), np.diff(csc.indptr))
+    # the transmission edges (p, q) missing from H, by target, then source
+    p_all, q_all = transmission_edges(sites)
+    order = np.lexsort((p_all, q_all))
+    p_all, q_all = p_all[order], q_all[order]
     need = ~H.has_edges(p_all, q_all)
     if H.variant == VARIANT_RATIO:
         c = params.c

@@ -6,8 +6,10 @@ import pytest
 
 import txspanner.oracle as oracle_mod
 from txspanner.cli import generate_sites, main
-from txspanner.core import load_sites
-from txspanner.spanner import SpannerGraph, build_spanner_radius_ratio
+from txspanner.core import cell_of, load_sites
+from txspanner.reachability import transmission_edges
+from txspanner.spanner import (SpannerGraph, build_spanner_radius_ratio,
+                               verify_shorter_edge)
 
 
 def _gen(tmp_path, n=60, model="uniform", seed=5, name="sites.txt"):
@@ -129,6 +131,46 @@ def test_verify_flags_tampered_spanner(tmp_path):
     H = SpannerGraph.from_edges(H.n, H.edges[: H.m // 2], H.t, H.params)
     H.save(out)
     assert main(["verify", str(sites), str(out)]) == 1
+
+
+def test_verify_shorter_edge_past_materialize_cap(tmp_path, capsys):
+    # G comes from the sparse enumeration, so the witness check runs at
+    # any n, not only where the dense oracle may materialize G
+    n = 2500
+    assert n > oracle_mod.MATERIALIZE_CAP
+    path = tmp_path / "sites.txt"
+    assert main(["generate", "--n", str(n), "--radius-model", "pareto",
+                 "--psi-cap", "16", "--seed", "3", "--out", str(path)]) == 0
+    out = tmp_path / "h.txt"
+    assert main(["build", str(path), "--t", "2", "--variant", "ratio",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), str(out), "--variant", "ratio"]) == 0
+    assert "shorter-edge check: ok" in capsys.readouterr().out
+
+    # a target with a G in-neighbour at level-0 gap >= c - 2 loses all its
+    # in-edges: nothing can witness that missing edge
+    sites = load_sites(path)
+    H = build_spanner_radius_ratio(sites, 2.0)
+    c = H.params.c
+    cells = [cell_of(s.x * H.scale + H.offset[0], s.y * H.scale + H.offset[1],
+                     0) for s in sites]
+    p_all, q_all = transmission_edges(sites)
+    far = [(p, q) for p, q in zip(p_all.tolist(), q_all.tolist())
+           if max(abs(cells[p].ix - cells[q].ix) - 1, 0) ** 2
+           + max(abs(cells[p].iy - cells[q].iy) - 1, 0) ** 2
+           >= 2 * (c - 2) ** 2]
+    q = far[0][1]
+    keep = H.dst != q
+    cut = SpannerGraph(H.n, H.src[keep], H.dst[keep], H.length[keep], H.t,
+                       H.params, H.variant, H.scale, H.offset)
+    bad = verify_shorter_edge(sites, cut)
+    assert {pq for pq in far if pq[1] == q} <= set(bad)
+    cut.save(out)
+    capsys.readouterr()
+    assert main(["verify", str(path), str(out), "--variant", "ratio"]) == 1
+    assert f"shorter-edge check: {len(bad)} violations" in \
+        capsys.readouterr().out
 
 
 def test_missing_input_file(tmp_path):

@@ -13,8 +13,8 @@ import txspanner.reachability as reach_mod
 from conftest import random_instance
 from test_spanner import _clumped_instance
 from txspanner.cli import generate_sites
-from txspanner.core import (EPS, SQRT2, cell_of, cone_range_for_cell,
-                            disk_contains, make_sites)
+from txspanner.core import (EPS, SQRT2, GridCell, cell_of,
+                            cone_range_for_cell, disk_contains, make_sites)
 from txspanner.geom_query import DiskContainment
 from txspanner.oracle import (degenerate_instances, geom_reach_oracle,
                               materialize, reachable_from)
@@ -214,10 +214,9 @@ def test_geom_oracle_unit_ratio_one_structure_per_cell():
     oracle = GeomOracle(sites)
     assert oracle.depth == 0
     cells = {cell_of(s.x, s.y, 0) for s in oracle.norm}
-    ptr, members = oracle.level_sites[0]
-    assert list(oracle.level_sites) == [0]
-    assert len(ptr) - 1 == len(cells)
-    assert sorted(members.tolist()) == list(range(len(sites)))
+    assert set(oracle.row_level.tolist()) == {0}
+    assert len(oracle.row_level) == len(cells)
+    assert sorted(oracle.member_id.tolist()) == list(range(len(sites)))
 
 
 def test_geom_oracle_storage_bound():
@@ -401,24 +400,89 @@ def _probe_points(oracle, rng, count):
     return pts
 
 
+def _cover_instance(name):
+    """Sites of a named cover-set test instance; "pareto-64" has at least
+    five levels."""
+    if name == "clumped":
+        return _clumped_instance(3)
+    if name == "pareto-64":
+        return random_instance(150, model="pareto", seed=112, psi_cap=64.0)
+    if name in degenerate_instances():
+        return degenerate_instances()[name]
+    return random_instance(150, model=name, seed=112, psi_cap=16.0)
+
+
+def _reference_nodes(oracle):
+    sites = oracle.sites
+    return {v.id: DiskContainment([sites[i] for i in v.sites])
+            for v in oracle.decomp.nodes}
+
+
 @pytest.mark.parametrize("instance", ["constant", "uniform", "pareto",
-                                      "clumped"])
+                                      "clumped", "pareto-64",
+                                      *degenerate_instances()])
 def test_cover_set_matches_reference(instance):
     rng = random.Random(111)
-    if instance == "clumped":
-        sites = _clumped_instance(3)
-    else:
-        sites = random_instance(150, model=instance, seed=112, psi_cap=16.0)
+    sites = _cover_instance(instance)
     oracle = GeomOracle(sites)
-    pd = {v.id: DiskContainment([sites[i] for i in v.sites])
-          for v in oracle.decomp.nodes}
+    assert instance != "pareto-64" or oracle.depth >= 4
+    pd = _reference_nodes(oracle)
     nonempty = 0
     for pt in _probe_points(oracle, rng, 60):
         cover = cover_set(oracle, pt)
         assert (cover.sites, cover.phase1) == \
             _cover_set_reference(oracle, pd, pt), pt
         nonempty += len(cover) > 0
-    assert nonempty >= 60
+    assert nonempty >= min(60, len(sites))
+
+
+def test_cover_set_level0_boundary_cell_in_both_phases():
+    # smallest radius c = 68, so the sites are their own normalized image
+    # (scale 1, offset 0). A is the query's own cell; B sits in the level-0
+    # cell (67, 67) diagonally off the query's cell (0, 0), at gap^2
+    # exactly 2 (c - 2)^2, and contains the query; C is a level-2 annulus
+    # hit further out on the same diagonal, in the same cones.
+    s0 = 1.0 / SQRT2
+    a = (0.0, 0.0, 68.0)
+    b = (67.5 * s0, 67.5 * s0, 68.0)
+    c = (196.0, 196.0, 300.0)
+    pt = (0.1, 0.1)
+    oracle = GeomOracle(make_sites([a, b, c]))
+    assert (oracle.scale, oracle.offset) == (1.0, (0.0, 0.0))
+    assert cell_of(*pt, 0) == GridCell(0, 0, 0)
+    assert cell_of(b[0], b[1], 0) == GridCell(0, 67, 67)
+    assert oracle.params.c == 68
+    cover = cover_set(oracle, pt)
+    assert (cover.sites, cover.phase1) == \
+        _cover_set_reference(oracle, _reference_nodes(oracle), pt)
+    # B is a phase-1 hit, and its cones stop at level 0, before C's level
+    assert cover.phase1 == [0, 1]
+    assert cover.sites == [0, 1]
+    # without B the same cones reach level 2 and take C
+    oracle = GeomOracle(make_sites([a, c]))
+    cover = cover_set(oracle, pt)
+    assert (cover.sites, cover.phase1) == ([0, 1], [0])
+    assert cover.sites == \
+        _cover_set_reference(oracle, _reference_nodes(oracle), pt)[0]
+
+
+@pytest.mark.parametrize("instance", ["extreme-spread", "pareto-64"])
+def test_cover_set_node_prune_is_conservative(instance):
+    # the table drops level >= 1 nodes whose radii cannot reach the
+    # annulus; a table of every node must give the same covers
+    sites = _cover_instance(instance)
+    oracle = GeomOracle(sites)
+    full = GeomOracle(sites)
+    full._fill_table(np.arange(len(full.decomp.level)))
+    assert oracle.stored_site_refs < full.stored_site_refs
+    rng = random.Random(114)
+    nonempty = 0
+    for pt in _probe_points(oracle, rng, 60):
+        cover = cover_set(oracle, pt)
+        assert (cover.sites, cover.phase1) == \
+            (cover_set(full, pt).sites, cover_set(full, pt).phase1), pt
+        nonempty += len(cover) > 0
+    assert nonempty >= len(sites)
 
 
 # ---------------------------------------------------------------------------
