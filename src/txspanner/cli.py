@@ -135,16 +135,20 @@ def _cmd_verify(args):
         failed |= bool(bad)
     else:
         print("shorter-edge check: skipped")
-    if args.variant is not None and len(sites) >= 2 \
-            and H.n <= oracle_mod.MATERIALIZE_CAP and H.params is not None:
-        norm, _, _ = normalize(sites, NORMALIZE_MODE[args.variant], H.params.c)
-        structure = build_hierarchy(norm, H.params, args.variant)
-        decomp = derive_decomposition(structure, H.params, args.variant, norm)
-        bad_i, bad_ii = check_decomposition(decomp, norm,
-                                            oracle_mod.materialize(norm))
-        ok = not bad_i and not bad_ii
-        print(f"decomposition check: {'ok' if ok else f'{len(bad_i)}+{len(bad_ii)} violations'}")
-        failed |= not ok
+    if args.variant is not None and len(sites) >= 2 and H.params is not None:
+        if H.n > oracle_mod.MATERIALIZE_CAP:
+            print("decomposition check: skipped "
+                  f"(n > {oracle_mod.MATERIALIZE_CAP})")
+        else:
+            norm, _, _ = normalize(sites, NORMALIZE_MODE[args.variant],
+                                   H.params.c)
+            tree = build_hierarchy(norm, H.params, args.variant)
+            decomp = derive_decomposition(tree, H.params, args.variant, norm)
+            bad_i, bad_ii = check_decomposition(decomp, norm,
+                                                oracle_mod.materialize(norm))
+            ok = not bad_i and not bad_ii
+            print(f"decomposition check: {'ok' if ok else f'{len(bad_i)}+{len(bad_ii)} violations'}")
+            failed |= not ok
     return 1 if failed else 0
 
 
@@ -222,8 +226,8 @@ def _cmd_inspect(args):
         norm, _, _ = normalize(sites, NORMALIZE_MODE[args.variant], params.c)
     else:
         norm = sites
-    structure = build_hierarchy(norm, params, args.variant)
-    decomp = derive_decomposition(structure, params, args.variant, norm)
+    tree = build_hierarchy(norm, params, args.variant)
+    decomp = derive_decomposition(tree, params, args.variant, norm)
     print(decomposition_dump(decomp))
     return 0
 

@@ -3,20 +3,20 @@
 Three hierarchy variants feed the spanner constructions: a quadtree for
 bounded spread, a quadforest for bounded radius ratio, and a compressed
 quadtree augmented via a well-separated pair decomposition for the
-general case. The quadforest is built level by level in numpy, straight
-into `NodeArrays`: per-node cell arrays and a CSR of node sites, ids in
-(-level, ix, iy) order. The two trees are built as `QuadNode`s and
-derive_decomposition takes them into the same arrays. One vectorized step
-then assigns every node its sites R and its max-radius representative m,
-and the `AnnulusDecomposition` holds the result as arrays;
-neighbor_pair_rows enumerates its neighbor relation from the per-level
-cell arrays. `QuadNode` views of a decomposition are built only when a
-caller reads them.
+general case. All three are one array hierarchy, `NodeArrays`: per-node
+cell arrays and a CSR of node sites, ids in (-level, ix, iy) order. The
+full grid tree, built level by level in numpy, is the quadtree (from the
+level covering all sites) and the quadforest (from level ceil(log2 psi));
+the compressed and the augmented quadtree are masks of it, with no
+per-node Python step. One vectorized step then assigns every node its
+sites R and its max-radius representative m, and the
+`AnnulusDecomposition` holds the result as arrays; neighbor_pair_rows
+enumerates its neighbor relation from the per-level cell arrays.
+`QuadNode` views of a hierarchy are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache, partial
 
@@ -41,15 +41,15 @@ NORMALIZE_MODE = {
 
 
 class QuadNode:
-    """One cell of a quadtree / quadforest / compressed quadtree.
+    """One cell of a hierarchy in the `nodes` view of its NodeArrays.
 
-    `children` holds only non-empty children. For plain quadtrees all
-    children sit one level below the parent; compressed edges may jump
-    levels (the skipped annulus contains no sites).
+    `children` holds the child nodes in id order. In a compressed or
+    augmented tree a child may sit more than one level below its parent
+    (the skipped cells hold the same sites).
     """
 
     __slots__ = ("id", "cell", "children", "parent", "sites", "m",
-                 "max_radius", "R", "point_cell")
+                 "max_radius", "R")
 
     def __init__(self, cell, sites):
         self.id = -1
@@ -60,13 +60,6 @@ class QuadNode:
         self.m = None
         self.max_radius = 0.0
         self.R = []
-        self.point_cell = None
-
-    @property
-    def wspd_cell(self):
-        """Cell used for pair separation: single-site leaves shrink to
-        the level-0 cell of their site."""
-        return self.point_cell if self.point_cell is not None else self.cell
 
     @property
     def level(self):
@@ -78,31 +71,6 @@ class QuadNode:
     def __repr__(self):
         return (f"QuadNode(level={self.cell.level}, ix={self.cell.ix}, "
                 f"iy={self.cell.iy}, n={len(self.sites)})")
-
-
-def collect_nodes(structure):
-    """All nodes of a root or list of roots, ids assigned in BFS order."""
-    roots = structure if isinstance(structure, list) else [structure]
-    nodes = []
-    queue = list(roots)
-    while queue:
-        v = queue.pop()
-        nodes.append(v)
-        queue.extend(v.children)
-    nodes.sort(key=lambda v: (-v.cell.level, v.cell.ix, v.cell.iy))
-    for i, v in enumerate(nodes):
-        v.id = i
-    return nodes
-
-
-def _csr(lists):
-    """(indptr, flat) int64 arrays of a list of int lists."""
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, lists), np.int64, len(lists)),
-              out=indptr[1:])
-    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
-                       int(indptr[-1]))
-    return indptr, flat
 
 
 def site_array(sites):
@@ -120,32 +88,22 @@ class NodeArrays:
 
     Node i is the cell (level[i], ix[i], iy[i]) (int64); parent[i] is the
     id of the node it hangs from (-1 for a root), and its sites are
-    site_ids[site_ptr[i]:site_ptr[i + 1]]. `nodes` is a QuadNode list with
-    the same ids: the tree the arrays were taken from (from_tree), or one
-    built from the arrays on first read.
+    site_ids[site_ptr[i]:site_ptr[i + 1]]. Every hierarchy is one full
+    grid tree (_grid_tree) or a mask of one: the compressed and the
+    augmented quadtree keep that tree as `full` and their nodes' ids in
+    it as `full_id` (None otherwise). `nodes` is a QuadNode list with the
+    same ids, built from the arrays on first read.
     """
 
-    def __init__(self, level, ix, iy, parent, site_ptr, site_ids, nodes=None):
+    def __init__(self, level, ix, iy, parent, site_ptr, site_ids):
         self.level = level
         self.ix = ix
         self.iy = iy
         self.parent = parent
         self.site_ptr = site_ptr
         self.site_ids = site_ids
-        self._nodes = nodes
-
-    @classmethod
-    def from_tree(cls, structure):
-        """Arrays of a QuadNode root or list of roots; assigns the ids."""
-        nodes = collect_nodes(structure)
-        n = len(nodes)
-        level, ix, iy = (np.fromiter((getattr(v.cell, a) for v in nodes),
-                                     np.int64, n)
-                         for a in ("level", "ix", "iy"))
-        parent = np.fromiter((-1 if v.parent is None else v.parent.id
-                              for v in nodes), np.int64, n)
-        return cls(level, ix, iy, parent, *_csr([v.sites for v in nodes]),
-                   nodes)
+        self.full = self.full_id = None
+        self._nodes = None
 
     @property
     def nodes(self):
@@ -167,66 +125,119 @@ class NodeArrays:
     def roots(self):
         return [v for v in self.nodes if v.parent is None]
 
+    def level_ranges(self):
+        """(first, end) id range of each level, levels descending."""
+        cut = (np.flatnonzero(np.diff(self.level)) + 1).tolist()
+        return list(zip([0] + cut, cut + [len(self.level)]))
+
+    def fan_out(self):
+        """Number of children of each node."""
+        return np.bincount(self.parent[self.parent >= 0],
+                           minlength=len(self.level))
+
+
+def _run_index(starts, counts):
+    """The positions starts[i] + j, j < counts[i], run after run."""
+    ends = np.cumsum(counts)
+    return (np.repeat(starts - ends + counts, counts)
+            + np.arange(int(ends[-1]) if len(ends) else 0))
+
 
 def _check_scaled(value, target, what):
     if abs(value - target) > 1e-6 * max(1.0, abs(target)):
         raise ValueError(f"input not normalized: {what} is {value}, expected {target}")
 
 
-def _root_level(sites):
-    """Smallest level whose origin cell covers all (translated) sites."""
-    hi = max(max(s.x for s in sites), max(s.y for s in sites))
-    lo = min(min(s.x for s in sites), min(s.y for s in sites))
-    if lo < 0:
+def _root_level(xy):
+    """Smallest level whose origin cell covers all (translated) points."""
+    if xy.min() < 0:
         raise ValueError("normalized sites must have non-negative coordinates")
+    hi = xy.max()
     level = 0
     while 2 ** level / SQRT2 <= hi:
         level += 1
     return level
 
 
-def _split(v, sites):
-    """Give v one child per non-empty cell one level below, in (ix, iy)
-    order, each holding its sites in v's order; returns the children."""
-    child_level = v.cell.level - 1
-    buckets = {}
-    for i in v.sites:
-        c = cell_of(sites[i].x, sites[i].y, child_level)
-        buckets.setdefault((c.ix, c.iy), []).append(i)
-    for (ix, iy), idxs in sorted(buckets.items()):
-        w = QuadNode(GridCell(child_level, ix, iy), idxs)
-        w.parent = v
-        v.children.append(w)
-    return v.children
+def _grid_tree(x, y, top):
+    """The full grid tree over the points (x, y): every non-empty cell of
+    levels top, ..., 0, each hung from the cell one level up, as
+    NodeArrays. Every level holds all points: a point's cell is
+    np.floor(coordinate / side), with cell_of's float side, and a node is
+    one run of the level's points sorted by (ix, iy, parent node, index),
+    so each node lists its points in index order."""
+    n = len(x)
+    members = np.arange(n)
+    up = np.full(n, -1, dtype=np.int64)  # each member's node one level up
+    first = 0  # id of the level's first node
+    parts = []
+    for lvl in range(top, -1, -1):
+        side = 2 ** lvl / SQRT2
+        kx = np.floor(x[members] / side).astype(np.int64)
+        ky = np.floor(y[members] / side).astype(np.int64)
+        order = np.lexsort((members, up, ky, kx))
+        members, up, kx, ky = members[order], up[order], kx[order], ky[order]
+        new = np.ones(n, dtype=bool)
+        new[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]) | (up[1:] != up[:-1])
+        start = np.flatnonzero(new)
+        # the level's n points sit at [(top - lvl) * n, (top - lvl + 1) * n)
+        parts.append((np.full(len(start), lvl), kx[start], ky[start],
+                      up[start], start + (top - lvl) * n, members))
+        up = first + np.cumsum(new) - 1
+        first += len(start)
+    level, ix, iy, parent, site_ptr, site_ids = (np.concatenate(col)
+                                                 for col in zip(*parts))
+    site_ptr = np.append(site_ptr, len(site_ids))
+    return NodeArrays(level, ix, iy, parent, site_ptr, site_ids)
 
 
-def _subdivide(node, sites, stop_level):
-    """Split non-empty cells level by level down to stop_level."""
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        if v.cell.level > stop_level:
-            stack.extend(_split(v, sites))
+def _mask(full, keep):
+    """The nodes of the full tree that the bool array `keep` marks, each
+    hung from its nearest marked ancestor, with its sites in index order."""
+    ids = np.flatnonzero(keep)
+    new_id = np.cumsum(keep) - 1
+    anc = np.full(len(keep), -1, dtype=np.int64)
+    # a parent sits one level up, in the id range before its child's
+    for a, b in full.level_ranges():
+        p = full.parent[a:b]
+        anc[a:b] = np.where(p < 0, -1, np.where(keep[p], new_id[p], anc[p]))
+    counts = np.diff(full.site_ptr)[ids]
+    site_ptr = np.concatenate(([0], np.cumsum(counts)))
+    tree = NodeArrays(full.level[ids], full.ix[ids], full.iy[ids], anc[ids],
+                      site_ptr, full.site_ids[_run_index(full.site_ptr[ids],
+                                                         counts)])
+    tree.full, tree.full_id = full, ids
+    return tree
+
+
+def _site_nodes(full):
+    """Table of the full tree's nodes by level and site: row k holds, for
+    each site, the id of its node at level level[0] - k."""
+    owner = np.repeat(np.arange(len(full.level)), np.diff(full.site_ptr))
+    rows = int(full.level[0]) + 1
+    n = len(owner) // rows
+    table = np.empty(len(owner), dtype=np.int64)
+    table[np.arange(len(owner)) // n * n + full.site_ids] = owner
+    return table.reshape(rows, n)
 
 
 def build_quadtree(sites, params):
-    """Quadtree for the bounded-spread construction.
+    """Quadtree for the bounded-spread construction: the full grid tree
+    from the level whose origin cell covers all sites down to level 0.
 
     Sites must be normalized so the closest pair is at distance c; level-0
     leaves then hold at most one site each.
     """
-    if len(sites) == 0:
+    xy = site_array(sites)[:, :2]
+    if len(xy) == 0:
         raise ValueError("no sites")
-    if len(sites) >= 2:
-        d, _, _ = closest_pair([(s.x, s.y) for s in sites])
+    if len(xy) >= 2:
+        d, _, _ = closest_pair(xy.tolist())
         _check_scaled(d, float(params.c), "closest-pair distance")
-    L = _root_level(sites)
-    root = QuadNode(GridCell(L, 0, 0), list(range(len(sites))))
-    _subdivide(root, sites, 0)
-    for v in collect_nodes(root):
-        if v.cell.level == 0 and len(v.sites) > 1:
-            raise AssertionError("level-0 cell with more than one site; input not normalized")
-    return root
+    tree = _grid_tree(xy[:, 0], xy[:, 1], _root_level(xy))
+    if (np.diff(tree.site_ptr)[tree.level == 0] > 1).any():
+        raise AssertionError("level-0 cell with more than one site; input not normalized")
+    return tree
 
 
 def radius_ratio(sites):
@@ -248,40 +259,16 @@ def build_quadforest(sites, params, depth=None):
     radius is at least c. Roots are the non-empty cells of level
     L = ceil(log2 psi) (or the given depth, when building one component
     of a larger normalized input); level-0 cells are not subdivided and
-    may hold many sites. Every level holds all sites: a site's cell is
-    np.floor(coordinate / side), with cell_of's float side, and a node is
-    one run of the level's sites sorted by (ix, iy, parent node, index).
+    may hold many sites. It is the full grid tree below level L.
     """
     xyr = site_array(sites)
-    n = len(xyr)
-    if n == 0:
+    if len(xyr) == 0:
         raise ValueError("no sites")
-    x, y, r = xyr[:, 0], xyr[:, 1], xyr[:, 2]
+    r = xyr[:, 2]
     if r.min() < params.c * (1.0 - 1e-6):
         raise ValueError("input not normalized: smallest radius below c")
     L = forest_depth(r.max() / r.min()) if depth is None else depth
-    members = np.arange(n)
-    up = np.full(n, -1, dtype=np.int64)  # each member's node one level up
-    first = 0  # id of the level's first node
-    parts = []
-    for lvl in range(L, -1, -1):
-        side = 2 ** lvl / SQRT2
-        kx = np.floor(x[members] / side).astype(np.int64)
-        ky = np.floor(y[members] / side).astype(np.int64)
-        order = np.lexsort((members, up, ky, kx))
-        members, up, kx, ky = members[order], up[order], kx[order], ky[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1]) | (up[1:] != up[:-1])
-        start = np.flatnonzero(new)
-        # the level's n sites sit at [(L - lvl) * n, (L - lvl + 1) * n)
-        parts.append((np.full(len(start), lvl), kx[start], ky[start],
-                      up[start], start + (L - lvl) * n, members))
-        up = first + np.cumsum(new) - 1
-        first += len(start)
-    level, ix, iy, parent, site_ptr, site_ids = (np.concatenate(col)
-                                                 for col in zip(*parts))
-    site_ptr = np.append(site_ptr, len(site_ids))
-    return NodeArrays(level, ix, iy, parent, site_ptr, site_ids)
+    return _grid_tree(xyr[:, 0], xyr[:, 1], L)
 
 
 def partition_components(sites, params):
@@ -340,58 +327,29 @@ def partition_components(sites, params):
     return sorted(groups.values())
 
 
-def _smallest_enclosing_level(sites, idxs, top_level):
-    """Largest grid level below top_level at which the sites still split."""
-    minx = min(sites[i].x for i in idxs)
-    maxx = max(sites[i].x for i in idxs)
-    miny = min(sites[i].y for i in idxs)
-    maxy = max(sites[i].y for i in idxs)
-    level = top_level
-    while level > 0:
-        s = 2 ** (level - 1) / SQRT2
-        if math.floor(minx / s) != math.floor(maxx / s) or \
-           math.floor(miny / s) != math.floor(maxy / s):
-            break
-        level -= 1
-    return level
-
-
 def build_compressed_quadtree(sites, params):
     """Compressed quadtree: internal nodes hold >= 2 sites, leaves <= 1.
 
     Sites must be normalized so the closest pair is at distance c + 2.
-    Degree-1 (compressed) edges skip only empty annuli; they usually jump
-    at least two levels, but a single-level jump is kept when the sites of
-    the only non-empty quadrant split immediately below it.
+    The tree is a mask of the full grid tree: its roots, the nodes with
+    at least two children, and the children of those. Each kept node
+    hangs from its nearest kept ancestor, so a compressed edge skips only
+    cells that hold the same sites; it usually jumps at least two levels,
+    but a single-level jump is kept when the sites of the only non-empty
+    quadrant split immediately below it.
     """
-    if len(sites) == 0:
+    xy = site_array(sites)[:, :2]
+    if len(xy) == 0:
         raise ValueError("no sites")
-    if len(sites) >= 2:
-        d, i, j = closest_pair([(s.x, s.y) for s in sites])
+    if len(xy) >= 2:
+        d, i, j = closest_pair(xy.tolist())
         if d <= 0.0:
             raise ValueError(f"duplicate points (sites {i} and {j})")
         _check_scaled(d, float(params.c + 2), "closest-pair distance")
-    L = _root_level(sites)
-    root = QuadNode(GridCell(L, 0, 0), list(range(len(sites))))
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if len(v.sites) <= 1:
-            continue
-        lvl = _smallest_enclosing_level(sites, v.sites, v.cell.level)
-        if lvl < v.cell.level:
-            s0 = sites[v.sites[0]]
-            w = QuadNode(cell_of(s0.x, s0.y, lvl), v.sites)
-            w.parent = v
-            v.children.append(w)
-            stack.append(w)
-        else:
-            stack.extend(_split(v, sites))
-    for v in collect_nodes(root):
-        if not v.children and len(v.sites) == 1:
-            s = sites[v.sites[0]]
-            v.point_cell = cell_of(s.x, s.y, 0)
-    return root
+    full = _grid_tree(xy[:, 0], xy[:, 1], _root_level(xy))
+    branch = full.fan_out() >= 2
+    # index -1 (a root's parent) reads the appended True
+    return _mask(full, branch | np.append(branch, True)[full.parent])
 
 
 # pairs per batch of the WSPD frontier and of the augmentation: small
@@ -399,15 +357,20 @@ def build_compressed_quadtree(sites, params):
 _WSPD_CHUNK = 1 << 14
 
 
-def _wspd_cells(nodes):
-    """Level, ix and iy arrays of the nodes' wspd_cell, in `nodes` order,
-    and the cells' bounds (x0, y0, x1, y1) in GridCell.bounds arithmetic."""
-    cells = [v.wspd_cell for v in nodes]
-    lvl = np.array([g.level for g in cells], dtype=np.int64)
-    ix = np.array([g.ix for g in cells], dtype=np.int64)
-    iy = np.array([g.iy for g in cells], dtype=np.int64)
+def _wspd_cells(tree):
+    """Level array of the nodes' WSPD cells, and the cells' bounds
+    (x0, y0, x1, y1) in GridCell.bounds arithmetic. A node's WSPD cell is
+    its own cell, except that a single-site leaf shrinks to the level-0
+    cell of its site."""
+    point = np.flatnonzero((tree.fan_out() == 0)
+                           & (np.diff(tree.site_ptr) == 1))
+    cell = _site_nodes(tree.full)[-1][tree.site_ids[tree.site_ptr[point]]]
+    lvl, ix, iy = tree.level.copy(), tree.ix.copy(), tree.iy.copy()
+    lvl[point] = 0
+    ix[point] = tree.full.ix[cell]
+    iy[point] = tree.full.iy[cell]
     side = np.ldexp(1.0, lvl) / SQRT2
-    return lvl, ix, iy, (ix * side, iy * side, (ix + 1) * side, (iy + 1) * side)
+    return lvl, (ix * side, iy * side, (ix + 1) * side, (iy + 1) * side)
 
 
 def _pair_distance(bounds, v, w):
@@ -420,31 +383,32 @@ def _pair_distance(bounds, v, w):
     return np.hypot(dx, dy), dx, dy
 
 
-def compute_wspd(root, c):
+def compute_wspd(tree, c):
     """c-well-separated pair decomposition over a compressed quadtree.
 
-    Returns an (m, 2) int64 array of unordered node pairs, as ids of
-    collect_nodes(root), such that every ordered site pair is covered by
-    exactly one of them and c * max(diam(v), diam(w)) <= d(v, w) for
-    each, where single-site leaves count with their point cell (diameter
-    1). The pair frontier, seeded with all sibling pairs, is processed in
-    numpy batches: a pair is kept once separated; otherwise the side with
-    the larger diameter (w on ties) is replaced by its children, a
-    childless side is never split, and two leaves form a pair.
+    Returns an (m, 2) int64 array of unordered pairs of node ids of
+    `tree` such that every ordered site pair is covered by exactly one of
+    them and c * max(diam(v), diam(w)) <= d(v, w) for each, where nodes
+    count with their WSPD cells (_wspd_cells; a single-site leaf has
+    diameter 1). The pair frontier, seeded with all sibling pairs, is
+    processed in numpy batches: a pair is kept once separated; otherwise
+    the side with the larger diameter (w on ties) is replaced by its
+    children, a childless side is never split, and two leaves form a pair.
     """
-    nodes = collect_nodes(root)
-    lvl, _, _, bounds = _wspd_cells(nodes)
+    lvl, bounds = _wspd_cells(tree)
     cdiam = c * np.ldexp(1.0, lvl)
-    # children as rows of a -1-padded table (quadtree nodes have at most 4)
-    kids = np.full((len(nodes), 4), -1, dtype=np.int64)
-    for v in nodes:
-        kids[v.id, :len(v.children)] = [u.id for u in v.children]
+    # children in id order, as rows of a -1-padded table (quadtree nodes
+    # have at most 4)
+    sub = np.flatnonzero(tree.parent >= 0)
+    sub = sub[np.argsort(tree.parent[sub], kind="stable")]
+    up = tree.parent[sub]
+    kids = np.full((len(lvl), 4), -1, dtype=np.int64)
+    kids[up, np.arange(len(up)) - np.searchsorted(up, up)] = sub
     leaf = kids[:, 0] < 0
-
-    sibling = np.array([(ch[a].id, ch[b].id)
-                        for ch in (v.children for v in nodes)
-                        for a in range(len(ch)) for b in range(a + 1, len(ch))],
-                       dtype=np.int64).reshape(-1, 2)
+    # per parent, the pairs of its children (i, j), i before j
+    i, j = np.triu_indices(4, 1)
+    sibling = np.stack((kids[:, i], kids[:, j]), axis=2).reshape(-1, 2)
+    sibling = sibling[sibling[:, 1] >= 0]
     pending = [(sibling[:, 0], sibling[:, 1])]
     # kept as int32 until the int64 result is assembled, which halves
     # their share of the peak when nearly all site pairs are listed
@@ -499,29 +463,30 @@ def _pow2_floor_level(r):
     return int(math.floor(math.log2(r) + 1e-12))
 
 
-def augment_with_wspd(root, wspd, params, sites):
-    """Insert the cells that make the compressed quadtree a valid basis
-    for the annulus decomposition (one pair of equal-diameter cells per
-    WSPD pair, duplicates merged), and rebuild the tree around them.
+def augment_with_wspd(tree, wspd, params):
+    """The compressed quadtree plus the cells that make it a valid basis
+    for the annulus decomposition: one pair of equal-diameter cells per
+    WSPD pair, duplicates merged.
 
-    wspd is compute_wspd's (m, 2) array of collect_nodes(root) ids. Per
-    pair, r = min(d / c, both parents' diameters) is computed as a vector;
-    each side inserts its wspd_cell raised to level floor(log2 r), clamped
-    to [its own level, its parent's level]. That cell is fixed by the
-    node and the level, so the pairs only mark (node, level) entries of
-    a bitmap; the marked cells and the tree's own are deduplicated with
-    one lexsort. Leaf site lists come from bucketing the sites once per
-    leaf level.
+    wspd is compute_wspd's (m, 2) array of node ids of `tree`. Per pair,
+    r = min(d / c, both parents' diameters) is computed as a vector; each
+    side inserts its WSPD cell raised to level floor(log2 r), clamped to
+    [its own level, its parent's level]. That cell is the full tree's
+    node at that level over any site of the side, so the pairs only mark
+    nodes of the full tree, and the augmented tree is the mask of the
+    compressed tree's nodes and the marked ones. Its nodes list their
+    sites in preorder (_preorder_sites).
     """
     c = params.c
-    nodes = collect_nodes(root)
-    lvl, ix, iy, bounds = _wspd_cells(nodes)
-    plvl = np.array([v.parent.cell.level if v.parent is not None
-                     else v.cell.level for v in nodes], dtype=np.int64)
+    full = tree.full
+    lvl, bounds = _wspd_cells(tree)
+    plvl = np.where(tree.parent >= 0, tree.level[tree.parent], tree.level)
     pdiam = np.ldexp(1.0, plvl)
-    # an inserted cell is fixed by its node and level: mark those first
-    span = int(plvl.max()) + 1
-    raised = np.zeros(len(nodes) * span, dtype=bool)
+    at = _site_nodes(full)
+    top = int(full.level[0])
+    rep = tree.site_ids[tree.site_ptr[:-1]]  # one site of each node
+    keep = np.zeros(len(full.level), dtype=bool)
+    keep[tree.full_id] = True
     wspd = np.asarray(wspd, dtype=np.int64).reshape(-1, 2)
     for lo in range(0, len(wspd), _WSPD_CHUNK):
         v = wspd[lo:lo + _WSPD_CHUNK, 0]
@@ -539,60 +504,36 @@ def augment_with_wspd(root, wspd, params, sites):
             lr[i] = _pow2_floor_level(r)
         for side in (v, w):
             up = np.minimum(np.maximum(lr, lvl[side]), plvl[side])
-            raised[side * span + up] = True
-    node_of, level_of = np.divmod(np.flatnonzero(raised), span)
-    shift = level_of - lvl[node_of]
-    cells = np.stack((
-        np.concatenate(([v.cell.level for v in nodes], level_of)),
-        np.concatenate(([v.cell.ix for v in nodes], ix[node_of] >> shift)),
-        np.concatenate(([v.cell.iy for v in nodes], iy[node_of] >> shift))))
-    # distinct (level, ix, iy) keys in descending order
-    cells = cells[:, np.lexsort(cells[::-1])[::-1]]
-    fresh = np.ones(cells.shape[1], dtype=bool)
-    fresh[1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=0)
-    # rebuild: parent of each cell = nearest strict ancestor present
-    new_nodes = {}
-    for key in zip(*cells[:, fresh].tolist()):
-        new_nodes[key] = QuadNode(GridCell(*key), [])
-    top_level = int(cells[0, 0])
-    roots = []
-    for key, node in new_nodes.items():
-        level, kx, ky = key
-        parent = None
-        for up in range(level + 1, top_level + 1):
-            shift = up - level
-            pk = (up, kx >> shift, ky >> shift)
-            if pk in new_nodes:
-                parent = new_nodes[pk]
-                break
-        if parent is None:
-            roots.append(node)
-        else:
-            node.parent = parent
-            parent.children.append(node)
-    if len(roots) != 1:
-        raise AssertionError("augmented tree must keep a single root")
-    new_root = roots[0]
-    # leaves of the rebuilt tree are original leaves; each takes the sites
-    # of its cell in index order, placed with cell_of's arithmetic in one
-    # pass over the sites per leaf level
-    xs = np.array([s.x for s in sites], dtype=np.float64)
-    ys = np.array([s.y for s in sites], dtype=np.float64)
-    leaves = {}
-    for key, node in new_nodes.items():
-        if node.is_leaf():
-            leaves.setdefault(key[0], {})[key[1:]] = node
-    for level, at in leaves.items():
-        side = 2 ** level / SQRT2
-        for i, key in enumerate(zip(np.floor(xs / side).astype(np.int64).tolist(),
-                                    np.floor(ys / side).astype(np.int64).tolist())):
-            if key in at:
-                at[key].sites.append(i)
-    for node in sorted(new_nodes.values(), key=lambda v: v.cell.level):
-        if not node.is_leaf():
-            node.sites = [i for w in node.children for i in w.sites]
-    collect_nodes(new_root)
-    return new_root
+            keep[at[top - up, rep[side]]] = True
+    augmented = _mask(full, keep)
+    augmented.site_ids = _preorder_sites(augmented)
+    return augmented
+
+
+def _preorder_sites(tree):
+    """site_ids of a tree whose leaves partition the sites, each node
+    listing its leaves' sites in preorder, children in descending
+    (level, ix, iy) order. R and the sweep's first containing disk follow
+    member order, so this order fixes the general builder's edges.
+
+    A node's sites are then one run of the root's list, at the node's
+    preorder offset: the parent's offset plus its earlier siblings' sites.
+    """
+    count = np.diff(tree.site_ptr)
+    # ids ascend in (-level, ix, iy), so descending id breaks level ties
+    order = np.lexsort((-np.arange(len(count)), -tree.level, tree.parent))
+    up = tree.parent[order]
+    before = np.cumsum(count[order]) - count[order]
+    start = np.empty_like(count)
+    start[order] = before - before[np.searchsorted(up, up)]
+    for a, b in tree.level_ranges():
+        p = tree.parent[a:b]
+        start[a:b] += np.where(p < 0, 0, start[p])
+    leaf = np.flatnonzero(tree.fan_out() == 0)
+    listed = np.empty(int(count[leaf].sum()), dtype=np.int64)
+    listed[_run_index(start[leaf], count[leaf])] = \
+        tree.site_ids[_run_index(tree.site_ptr[leaf], count[leaf])]
+    return listed[_run_index(start, count)]
 
 
 def build_hierarchy(sites, params, variant):
@@ -602,8 +543,8 @@ def build_hierarchy(sites, params, variant):
         return build_quadtree(sites, params)
     if variant == VARIANT_RATIO:
         return build_quadforest(sites, params)
-    root = build_compressed_quadtree(sites, params)
-    return augment_with_wspd(root, compute_wspd(root, params.c), params, sites)
+    tree = build_compressed_quadtree(sites, params)
+    return augment_with_wspd(tree, compute_wspd(tree, params.c), params)
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +603,11 @@ class AnnulusDecomposition:
         self.params = params
         self.variant = variant
         self.partial = variant == VARIANT_RATIO
-        cut = (np.flatnonzero(np.diff(self.level)) + 1).tolist()
         self.level_arrays = {
             int(self.level[a]): (np.arange(a, b, dtype=np.int64),
                                  self.ix[a:b], self.iy[a:b],
                                  self.max_radius[a:b])
-            for a, b in zip([0] + cut, cut + [len(self.level)])}
+            for a, b in cells.level_ranges()}
         self.nodes = _LazyList(partial(_node_view, cells, *assignments),
                                len(self.level))
 
@@ -766,25 +706,22 @@ def neighbor_pair_rows(decomp, prune=True):
     return np.concatenate(out_v), np.concatenate(out_t), np.concatenate(out_lvl)
 
 
-def derive_decomposition(structure, params, variant, sites):
+def derive_decomposition(tree, params, variant, sites):
     """Annulus decomposition over a built hierarchy: its nodes with their
     assigned sites R and representatives m, and per level the arrays
     neighbor_pair_rows enumerates the neighbor relation from.
 
-    structure is build_quadforest's NodeArrays, or the QuadNode root (or
-    list of roots) of a tree, which is taken into NodeArrays first; sites
-    is a Site list or its site_array.
+    tree is the NodeArrays of build_hierarchy (or of one of the builders
+    it dispatches to); sites is a Site list or its site_array.
 
     variant selects the lower endpoint of the assignment interval
     (c for the tree/forest variants, c - 2 for the compressed one) and
     whether the decomposition is partial (ratio variant: edges between
     close level-0 cells are left to the Yao graph of UDG(r_min)).
     """
-    cells = structure if isinstance(structure, NodeArrays) \
-        else NodeArrays.from_tree(structure)
     radius = site_array(sites)[:, 2]
     return AnnulusDecomposition(
-        cells, _populate_assignments(cells, radius, params, variant), params,
+        tree, _populate_assignments(tree, radius, params, variant), params,
         variant)
 
 

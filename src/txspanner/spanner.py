@@ -4,11 +4,13 @@ Three builders share one selection sweep over their annulus
 decompositions: bounded spread (quadtree), bounded radius ratio
 (quadforest plus one Yao graph of the disk graph UDG(r_min) for nearby
 sites) and the general case (compressed quadtree augmented with the cells
-of a well-separated pair decomposition). The sweep takes one level at a
-time, all cones at once: each (cone, node, neighbor cell) row of the
-level gives every target still active in its cone the first disk of the
-cell that contains it, decided by one batched numpy containment test
-against a (cones x sites) activity matrix. Any containing disk keeps the
+of a well-separated pair decomposition). All three hierarchies are
+`NodeArrays` cut from one numpy grid tree, so no builder creates a
+Python object per cell. The sweep takes one level at a time, all cones
+at once: each (cone, node, neighbor cell) row of the level gives every
+target still active in its cone the first disk of the cell that
+contains it, decided by one batched numpy containment test against a
+(cones x sites) activity matrix. Any containing disk keeps the
 paper's witness argument; choosing it over the lower envelope of the disk
 caps only serves the paper's time bound, so `select_edges_envelope`
 stands alone and no builder calls it. The builders hand the selected
@@ -590,8 +592,8 @@ def build_spanner_spread(sites, t, params=None):
         return SpannerGraph.from_edges(n, [], t, params, VARIANT_SPREAD)
     norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_SPREAD],
                                     params.c)
-    root = build_quadtree(norm, params)
-    decomp = derive_decomposition(root, params, VARIANT_SPREAD, norm)
+    tree = build_quadtree(norm, params)
+    decomp = derive_decomposition(tree, params, VARIANT_SPREAD, norm)
     return _finish(sites, n, *_decomposition_edges(norm, decomp), t, params,
                    VARIANT_SPREAD, scale, offset)
 
@@ -654,10 +656,10 @@ def build_spanner_general(sites, t, params=None):
         return SpannerGraph.from_edges(n, [], t, params, VARIANT_GENERAL)
     norm, scale, offset = normalize(sites, NORMALIZE_MODE[VARIANT_GENERAL],
                                     params.c)
-    root = build_compressed_quadtree(norm, params)
-    wspd = compute_wspd(root, params.c)
-    root = augment_with_wspd(root, wspd, params, norm)
-    decomp = derive_decomposition(root, params, VARIANT_GENERAL, norm)
+    tree = build_compressed_quadtree(norm, params)
+    wspd = compute_wspd(tree, params.c)
+    tree = augment_with_wspd(tree, wspd, params)
+    decomp = derive_decomposition(tree, params, VARIANT_GENERAL, norm)
     return _finish(sites, n, *_decomposition_edges(norm, decomp), t, params,
                    VARIANT_GENERAL, scale, offset)
 

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import normalized_for
+from reference_trees import wspd_cell
 from txspanner.bfs import bfs_tree
 from txspanner.cli import generate_sites
 from txspanner.core import (MODE_CLOSEST_PAIR_C2, MODE_SMALLEST_RADIUS, Site,
@@ -34,7 +35,7 @@ from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      VARIANT_SPREAD,
                                      build_compressed_quadtree,
                                      build_hierarchy,
-                                     check_decomposition, collect_nodes,
+                                     check_decomposition,
                                      compute_wspd, derive_decomposition,
                                      partition_components)
 from txspanner.oracle import audit_stretch, bfs_oracle, materialize
@@ -212,14 +213,14 @@ def test_criterion_06_wspd():
     for seed in (601, 602, 603):
         sites = generate_sites(300, "uniform-square", "uniform", seed)
         norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, params.c)
-        root = build_compressed_quadtree(norm, params)
-        pairs = compute_wspd(root, params.c)
-        nodes = collect_nodes(root)
+        tree = build_compressed_quadtree(norm, params)
+        pairs = compute_wspd(tree, params.c)
+        nodes = tree.nodes
         n = len(norm)
         count = np.zeros((n, n), dtype=np.int32)
         for a, b in pairs.tolist():
             v, w = nodes[a], nodes[b]
-            cv, cw = v.wspd_cell, w.wspd_cell
+            cv, cw = wspd_cell(v, norm), wspd_cell(w, norm)
             if cell_distance(cv, cw) < \
                     params.c * max(cv.diameter, cw.diameter) - 1e-9:
                 bad_sep += 1

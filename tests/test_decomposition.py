@@ -1,27 +1,31 @@
 """Cell hierarchies and the separated annulus decomposition."""
 
+import functools
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_trees as ref_trees
 from conftest import normalized_for, random_instance
 from test_spanner import _clumped_instance
 from txspanner.cli import generate_sites
 from txspanner.core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                            MODE_SMALLEST_RADIUS, SQRT2, GridCell,
+                            MODE_SMALLEST_RADIUS, SQRT2,
                             cell_distance, cell_of, make_sites, normalize,
                             spanner_parameters)
 from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
-                                     VARIANT_SPREAD, NodeArrays, QuadNode,
-                                     _subdivide,
+                                     VARIANT_SPREAD, QuadNode,
                                      annulus_cell_count,
                                      augment_with_wspd,
                                      build_compressed_quadtree,
                                      build_hierarchy, build_quadforest,
                                      build_quadtree,
-                                     check_decomposition, collect_nodes,
+                                     check_decomposition,
                                      compute_wspd, decomposition_dump,
                                      derive_decomposition, forest_depth,
                                      near_cell_count, neighbor_pair_rows,
@@ -37,8 +41,7 @@ PARAMS = spanner_parameters(2.0)
 def test_quadtree_two_sites():
     sites = make_sites([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)])
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C, PARAMS.c)
-    root = build_quadtree(norm, PARAMS)
-    nodes = collect_nodes(root)
+    nodes = build_quadtree(norm, PARAMS).nodes
     leaves = [v for v in nodes if v.cell.level == 0]
     assert sorted(i for v in leaves for i in v.sites) == [0, 1]
     assert all(len(v.sites) <= 1 for v in leaves)
@@ -47,8 +50,8 @@ def test_quadtree_two_sites():
 def test_quadtree_partitions_each_level():
     sites = random_instance(120, model="uniform", seed=41)
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C, PARAMS.c)
-    root = build_quadtree(norm, PARAMS)
-    nodes = collect_nodes(root)
+    nodes = build_quadtree(norm, PARAMS).nodes
+    root, = (v for v in nodes if v.parent is None)
     for level in range(root.cell.level + 1):
         at_level = [v for v in nodes if v.cell.level == level]
         seen = sorted(i for v in at_level for i in v.sites)
@@ -63,7 +66,7 @@ def test_quadtree_depth_bound():
     dmax = max(math.hypot(a[0] - b[0], a[1] - b[1])
                for a in pts for b in pts)
     spread = dmax / dmin
-    root = build_quadtree(norm, PARAMS)
+    root, = build_quadtree(norm, PARAMS).roots
     assert root.cell.level <= math.ceil(math.log2(PARAMS.c * spread)) + 2
 
 
@@ -111,23 +114,9 @@ def test_quadforest_rejects_unnormalized():
         build_quadforest(sites, PARAMS)
 
 
-# Reference oracle: the QuadNode quadforest and the per-(node, site)
-# assignment loop that the arrays replaced. The arrays must give the same
-# levels, cells, parents, member lists in order, m, max_radius and R.
-
-def _build_quadforest_reference(sites, params, depth=None):
-    L = forest_depth(radius_ratio(sites)) if depth is None else depth
-    buckets = {}
-    for i, s in enumerate(sites):
-        c = cell_of(s.x, s.y, L)
-        buckets.setdefault((c.ix, c.iy), []).append(i)
-    roots = []
-    for (ix, iy), idxs in sorted(buckets.items()):
-        root = QuadNode(GridCell(L, ix, iy), idxs)
-        _subdivide(root, sites, 0)
-        roots.append(root)
-    return roots
-
+# Reference oracle: the per-(node, site) assignment loop that the arrays
+# replaced, over the reference trees. The arrays must give the same levels,
+# cells, parents, member lists in order, m, max_radius and R.
 
 def _populate_assignments_reference(nodes, sites, params, variant):
     lb = params.c - 2 if variant == VARIANT_GENERAL else params.c
@@ -152,7 +141,7 @@ def _populate_assignments_reference(nodes, sites, params, variant):
 def _reference_rows(structure, sites, variant):
     """Per node in id order: level, ix, iy, parent id, sites, m,
     max_radius, R, from the reference loop over a QuadNode hierarchy."""
-    nodes = collect_nodes(structure)
+    nodes = ref_trees.collect_nodes(structure)
     _populate_assignments_reference(nodes, sites, PARAMS, variant)
     return [(v.cell.level, v.cell.ix, v.cell.iy,
              -1 if v.parent is None else v.parent.id, v.sites,
@@ -177,8 +166,8 @@ def _dump_reference(rows):
 def _assert_forest_matches_reference(norm, depth=None):
     forest = build_quadforest(norm, PARAMS, depth=depth)
     decomp = derive_decomposition(forest, PARAMS, VARIANT_RATIO, norm)
-    ref = _reference_rows(_build_quadforest_reference(norm, PARAMS, depth),
-                          norm, VARIANT_RATIO)
+    ref = _reference_rows(ref_trees.build_quadforest(norm, depth), norm,
+                          VARIANT_RATIO)
     assert decomp.level.dtype == decomp.site_ids.dtype == np.int64
     assert _array_rows(decomp, forest.parent) == ref
     assert decomposition_dump(decomp) == _dump_reference(ref)
@@ -256,17 +245,18 @@ def test_tree_assignments_match_reference(variant):
     for sites in (random_instance(120, model="pareto", seed=62),
                   degenerate_instances()["tight-clusters"]):
         norm, _, _ = normalized_for(sites, PARAMS, variant)
-        structure = build_hierarchy(norm, PARAMS, variant)
-        ref = _reference_rows(structure, norm, variant)
-        decomp = derive_decomposition(structure, PARAMS, variant, norm)
-        parent = NodeArrays.from_tree(structure).parent
-        assert _array_rows(decomp, parent) == ref
+        tree = build_hierarchy(norm, PARAMS, variant)
+        ref = _reference_rows(ref_trees.hierarchy(norm, PARAMS, variant), norm,
+                              variant)
+        decomp = derive_decomposition(tree, PARAMS, variant, norm)
+        assert _array_rows(decomp, tree.parent) == ref
         assert decomposition_dump(decomp) == _dump_reference(ref)
 
 
 def test_ratio_paths_build_no_quadnode(monkeypatch):
-    # the ratio hierarchy, its decomposition, the sweep over it and the
-    # geometric oracle stay free of per-cell Python objects
+    # every hierarchy, its decomposition, the sweep over it, the three
+    # builders and the geometric oracle stay free of per-cell Python
+    # objects
     import txspanner.spanner as spanner_mod
     from txspanner.reachability import GeomOracle
     calls = [0]
@@ -283,6 +273,12 @@ def test_ratio_paths_build_no_quadnode(monkeypatch):
                                   VARIANT_RATIO, norm)
     spanner_mod._decomposition_edges(norm, decomp)
     spanner_mod.build_spanner_radius_ratio(sites, 2.0)
+    spanner_mod.build_spanner_spread(sites, 2.0)
+    spanner_mod.build_spanner_general(sites, 2.0)
+    for variant in (VARIANT_SPREAD, VARIANT_RATIO, VARIANT_GENERAL):
+        vnorm, _, _ = normalized_for(sites, PARAMS, variant)
+        derive_decomposition(build_hierarchy(vnorm, PARAMS, variant), PARAMS,
+                             variant, vnorm)
     GeomOracle(sites)
     assert len(decomp.nodes) > 1
     assert calls[0] == 0
@@ -356,9 +352,9 @@ def test_partition_classes_uncrossed_by_edges():
 def test_compressed_two_far_sites():
     sites = make_sites([(0.0, 0.0, 1.0), (2.0 ** 20, 0.0, 1.0)])
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    assert len(root.sites) == 2
-    leaves = [v for v in collect_nodes(root) if v.is_leaf()]
+    nodes = build_compressed_quadtree(norm, PARAMS).nodes
+    assert len(nodes[0].sites) == 2
+    leaves = [v for v in nodes if v.is_leaf()]
     assert sorted(i for v in leaves for i in v.sites) == [0, 1]
     assert all(len(v.sites) == 1 for v in leaves)
 
@@ -367,8 +363,7 @@ def test_compressed_node_count_linear():
     n = 24
     sites = make_sites([(2.0 ** i, 0.0, 1.0) for i in range(n)])
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    nodes = collect_nodes(root)
+    nodes = build_compressed_quadtree(norm, PARAMS).nodes
     assert len(nodes) <= 8 * n
     internal = [v for v in nodes if not v.is_leaf()]
     assert all(len(v.sites) >= 2 for v in internal)
@@ -377,8 +372,8 @@ def test_compressed_node_count_linear():
 def test_compressed_leaves_partition_sites():
     sites = random_instance(150, model="uniform", seed=50)
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    leaves = [v for v in collect_nodes(root) if v.is_leaf()]
+    leaves = [v for v in build_compressed_quadtree(norm, PARAMS).nodes
+              if v.is_leaf()]
     assert sorted(i for v in leaves for i in v.sites) == list(range(len(norm)))
     assert all(len(v.sites) <= 1 for v in leaves)
 
@@ -392,24 +387,24 @@ def test_compressed_rejects_duplicates():
 def test_wspd_two_sites_single_pair():
     sites = make_sites([(0.0, 0.0, 1.0), (3.0, 0.0, 1.0)])
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    pairs = compute_wspd(root, PARAMS.c)
+    tree = build_compressed_quadtree(norm, PARAMS)
+    pairs = compute_wspd(tree, PARAMS.c)
     assert len(pairs) == 1
-    nodes = collect_nodes(root)
+    nodes = tree.nodes
     assert sorted(i for a in pairs[0].tolist() for i in nodes[a].sites) == [0, 1]
 
 
 def test_wspd_coverage_and_separation():
     sites = random_instance(100, model="uniform", seed=51)
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    pairs = compute_wspd(root, PARAMS.c)
-    nodes = collect_nodes(root)
+    tree = build_compressed_quadtree(norm, PARAMS)
+    pairs = compute_wspd(tree, PARAMS.c)
+    nodes = tree.nodes
     n = len(norm)
     covered = [[0] * n for _ in range(n)]
     for a, b in pairs.tolist():
         v, w = nodes[a], nodes[b]
-        cv, cw = v.wspd_cell, w.wspd_cell
+        cv, cw = ref_trees.wspd_cell(v, norm), ref_trees.wspd_cell(w, norm)
         assert cell_distance(cv, cw) >= \
             PARAMS.c * max(cv.diameter, cw.diameter) - 1e-9
         for a in v.sites:
@@ -424,106 +419,11 @@ def test_wspd_coverage_and_separation():
 def test_augment_node_budget():
     sites = random_instance(100, model="uniform", seed=52)
     norm, _, _ = normalize(sites, MODE_CLOSEST_PAIR_C2, PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    before = len(collect_nodes(root))
-    wspd = compute_wspd(root, PARAMS.c)
-    new_root = augment_with_wspd(root, wspd, PARAMS, norm)
-    after = len(collect_nodes(new_root))
+    tree = build_compressed_quadtree(norm, PARAMS)
+    before = len(tree.level)
+    wspd = compute_wspd(tree, PARAMS.c)
+    after = len(augment_with_wspd(tree, wspd, PARAMS).level)
     assert after <= before + 2 * len(wspd)
-
-
-# Reference oracles: per-pair Python forms of compute_wspd and
-# augment_with_wspd; the array forms must give the same pairs and trees.
-
-def _compute_wspd_reference(root, c):
-    pairs = []
-    split_stack = []
-    walk = [root]
-    while walk:
-        v = walk.pop()
-        ch = v.children
-        walk.extend(ch)
-        for a in range(len(ch)):
-            for b in range(a + 1, len(ch)):
-                split_stack.append((ch[a], ch[b]))
-    while split_stack:
-        v, w = split_stack.pop()
-        cv = v.wspd_cell
-        cw = w.wspd_cell
-        if cell_distance(cv, cw) >= c * max(cv.diameter, cw.diameter):
-            pairs.append((v, w))
-            continue
-        split_w = cw.diameter >= cv.diameter
-        if split_w and not w.children:
-            split_w = False
-        if not split_w and not v.children:
-            split_w = True
-        if split_w and w.children:
-            for u in w.children:
-                split_stack.append((v, u))
-        elif v.children:
-            for u in v.children:
-                split_stack.append((u, w))
-        else:
-            pairs.append((v, w))
-    return pairs
-
-
-def _augment_with_wspd_reference(root, wspd, params, sites):
-    c = params.c
-    cells = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        cells[(v.cell.level, v.cell.ix, v.cell.iy)] = v.cell
-        stack.extend(v.children)
-    for v, w in wspd:
-        d = cell_distance(v.wspd_cell, w.wspd_cell)
-        r = min(d / c, v.parent.cell.diameter, w.parent.cell.diameter)
-        lr = int(math.floor(math.log2(r) + 1e-12))
-        for node in (v, w):
-            base = node.wspd_cell
-            lvl = min(max(lr, base.level), node.parent.cell.level)
-            cell = base.parent_at(lvl)
-            cells.setdefault((cell.level, cell.ix, cell.iy), cell)
-    by_key = dict(cells)
-    new_nodes = {}
-    for key in sorted(by_key, reverse=True):
-        new_nodes[key] = QuadNode(by_key[key], [])
-    top_level = max(k[0] for k in by_key)
-    roots = []
-    for key, node in new_nodes.items():
-        level, ix, iy = key
-        parent = None
-        for lvl in range(level + 1, top_level + 1):
-            shift = lvl - level
-            pk = (lvl, ix >> shift, iy >> shift)
-            if pk in new_nodes:
-                parent = new_nodes[pk]
-                break
-        if parent is None:
-            roots.append(node)
-        else:
-            node.parent = parent
-            parent.children.append(node)
-    assert len(roots) == 1
-    new_root = roots[0]
-    for node in sorted(new_nodes.values(), key=lambda v: v.cell.level):
-        if node.is_leaf():
-            node.sites = [i for i in range(len(sites))
-                          if cell_of(sites[i].x, sites[i].y, node.cell.level) == node.cell]
-        else:
-            node.sites = [i for w in node.children for i in w.sites]
-    collect_nodes(new_root)
-    return new_root
-
-
-def _tree_signature(root):
-    """Per node in collect_nodes order: cell, parent cell, child cells in
-    child order, and site list."""
-    key = lambda v: None if v is None else (v.cell.level, v.cell.ix, v.cell.iy)
-    return [(key(v), key(v.parent), [key(u) for u in v.children], v.sites)
-            for v in collect_nodes(root)]
 
 
 # The level-7 cells of the two pairs lie 69 cells apart on both axes, so
@@ -544,13 +444,19 @@ _PINNED_INSTANCES = {
 }
 
 
+def _reference_wspd(norm):
+    """The reference compressed quadtree and its WSPD pairs."""
+    root = ref_trees.build_compressed_quadtree(norm)
+    return root, ref_trees.compute_wspd(root, PARAMS.c)
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED_INSTANCES))
 def test_wspd_and_augmentation_match_reference(name):
     norm, _, _ = normalize(_PINNED_INSTANCES[name](), MODE_CLOSEST_PAIR_C2,
                            PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    ref = _compute_wspd_reference(root, PARAMS.c)
-    pairs = compute_wspd(root, PARAMS.c)
+    root, ref = _reference_wspd(norm)
+    tree = build_compressed_quadtree(norm, PARAMS)
+    pairs = compute_wspd(tree, PARAMS.c)
     assert pairs.dtype == np.int64 and pairs.shape == (len(ref), 2)
     got = {frozenset(p) for p in pairs.tolist()}
     assert len(got) == len(pairs)
@@ -561,10 +467,10 @@ def test_wspd_and_augmentation_match_reference(name):
                 cell_distance(v.wspd_cell, w.wspd_cell)
                 == PARAMS.c * max(v.wspd_cell.diameter, w.wspd_cell.diameter)]
         assert len(ties) == 1
-    expect = _tree_signature(
-        _augment_with_wspd_reference(root, ref, PARAMS, norm))
-    assert _tree_signature(augment_with_wspd(root, pairs, PARAMS, norm)) \
-        == expect
+    expect = ref_trees.tree_arrays(
+        ref_trees.augment_with_wspd(root, ref, PARAMS, norm))
+    assert ref_trees.arrays_equal(augment_with_wspd(tree, pairs, PARAMS),
+                                  expect)
 
 
 def test_wspd_tie_holds_when_np_hypot_rounds_low(monkeypatch):
@@ -576,10 +482,58 @@ def test_wspd_tie_holds_when_np_hypot_rounds_low(monkeypatch):
                         lambda a, b: np.nextafter(hypot(a, b), 0.0))
     norm, _, _ = normalize(make_sites(_TIE_SITES), MODE_CLOSEST_PAIR_C2,
                            PARAMS.c)
-    root = build_compressed_quadtree(norm, PARAMS)
-    ref = _compute_wspd_reference(root, PARAMS.c)
-    assert {frozenset(p) for p in compute_wspd(root, PARAMS.c).tolist()} \
+    _, ref = _reference_wspd(norm)
+    tree = build_compressed_quadtree(norm, PARAMS)
+    assert {frozenset(p) for p in compute_wspd(tree, PARAMS.c).tolist()} \
         == {frozenset((v.id, w.id)) for v, w in ref}
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # the dataclass decorator looks its module up in sys.modules
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _general_clustered_instance(seed=101):
+    """The `general-clustered` benchmark workload's instance for a seed."""
+    workloads = _bench_workloads()
+    return make_sites(workloads.generate(
+        workloads.WORKLOADS["general-clustered"], seed))
+
+
+def _hierarchy_instances():
+    out = {f"pinned-{k}": v for k, v in _PINNED_INSTANCES.items()}
+    out.update({f"degenerate-{k}": (lambda s=s: s)
+                for k, s in degenerate_instances().items()
+                if k != "duplicates"})
+    out["general-clustered-101"] = _general_clustered_instance
+    return out
+
+
+@pytest.mark.parametrize("kind", ["spread", "compressed", "augmented"])
+@pytest.mark.parametrize("name", sorted(_hierarchy_instances()))
+def test_hierarchy_arrays_match_reference(kind, name):
+    # all six arrays, member order included: R and the sweep's first
+    # containing disk follow it
+    sites = _hierarchy_instances()[name]()
+    mode = MODE_CLOSEST_PAIR_C if kind == "spread" else MODE_CLOSEST_PAIR_C2
+    norm, _, _ = normalize(sites, mode, PARAMS.c)
+    if kind == "spread":
+        got = build_quadtree(norm, PARAMS)
+        expect = ref_trees.build_quadtree(norm)
+    else:
+        got = build_compressed_quadtree(norm, PARAMS)
+        expect = ref_trees.build_compressed_quadtree(norm)
+        if kind == "augmented":
+            got = augment_with_wspd(got, compute_wspd(got, PARAMS.c), PARAMS)
+            expect = ref_trees.augment_with_wspd(
+                expect, ref_trees.compute_wspd(expect, PARAMS.c), PARAMS, norm)
+    assert ref_trees.arrays_equal(got, ref_trees.tree_arrays(expect))
 
 
 # ---------------------------------------------------------------------------
