@@ -51,8 +51,8 @@ def load_sites(path):
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'x y r', got {line!r}")
-            x, y, r = (float(p) for p in parts)
             try:
+                x, y, r = (float(p) for p in parts)
                 sites.append(Site(len(sites), x, y, r))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -299,37 +299,37 @@ def spanner_parameters(t):
 # normalization
 
 def closest_pair(points):
-    """Exact closest pair by a left-to-right sweep with a y-sorted window.
+    """Exact closest pair (distance, i, j), i < j, of two or more points
+    given as (x, y) pairs or an (n, 2) array; the distance is the least
+    math.hypot over all pairs.
 
-    Returns (distance, i, j). Requires at least two points.
+    A kd-tree two-nearest query over all points finds the least distance
+    in its own arithmetic, on the points scaled by a power of two that
+    brings their extent near 1, so its squared distances neither
+    underflow nor overflow; the pairs within a relative 1e-9 of it are
+    re-measured with math.hypot on the given coordinates, and the
+    smallest (distance, i, j) wins. Coincident points give distance 0.
     """
-    import bisect
+    import numpy as np
+    from scipy.spatial import cKDTree
 
-    n = len(points)
-    if n < 2:
+    xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if len(xy) < 2:
         raise ValueError("closest_pair needs at least two points")
-    order = sorted(range(n), key=lambda i: (points[i][0], points[i][1]))
-    best = math.inf
-    best_pair = (order[0], order[1])
-    window = []  # (y, x, idx) sorted by y
-    head = 0
-    xs = [points[i][0] for i in order]
-    for pos, i in enumerate(order):
-        x, y = points[i][0], points[i][1]
-        while head < pos and x - points[order[head]][0] > best:
-            j = order[head]
-            k = bisect.bisect_left(window, (points[j][1], points[j][0], j))
-            del window[k]
-            head += 1
-        lo = bisect.bisect_left(window, (y - best,))
-        hi = bisect.bisect_right(window, (y + best, math.inf, math.inf))
-        for wy, wx, j in window[lo:hi]:
-            d = math.hypot(x - wx, y - wy)
-            if d < best:
-                best = d
-                best_pair = (j, i)
-        bisect.insort(window, (y, x, i))
-    return best, best_pair[0], best_pair[1]
+    extent = float(np.ptp(xy, axis=0).max())
+    exp = math.frexp(extent)[1] if 0.0 < extent < math.inf else 0
+    tree = cKDTree(np.ldexp(xy, -exp))
+    d, near = tree.query(tree.data, k=2)
+    i = int(np.argmin(d[:, 1]))
+    # a coincident point of i may come first, or i itself
+    j = int(near[i, 0] if near[i, 0] != i else near[i, 1])
+    if (xy[i] == xy[j]).all():
+        return 0.0, min(i, j), max(i, j)
+    pairs = tree.query_pairs(float(d[i, 1]) * (1.0 + 1e-9),
+                             output_type="ndarray")
+    diff = xy[pairs[:, 0]] - xy[pairs[:, 1]]
+    return min(zip(map(math.hypot, diff[:, 0].tolist(), diff[:, 1].tolist()),
+                   pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 MODE_CLOSEST_PAIR_C = "closest-pair=c"

@@ -13,14 +13,21 @@ sites R and its max-radius representative m, and the
 `AnnulusDecomposition` holds the result as arrays; neighbor_pair_rows
 enumerates its neighbor relation from the per-level cell arrays.
 `QuadNode` views of a hierarchy are built only when a caller reads them.
+
+Whether two same-level cells are annulus neighbors, and which doubled
+cones at one's centre hold the other, depends on their offset alone;
+`Annulus` answers both per offset, for every reader but the independent
+check_decomposition.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
@@ -136,11 +143,12 @@ class NodeArrays:
                            minlength=len(self.level))
 
 
-def _run_index(starts, counts):
-    """The positions starts[i] + j, j < counts[i], run after run."""
-    ends = np.cumsum(counts)
-    return (np.repeat(starts - ends + counts, counts)
-            + np.arange(int(ends[-1]) if len(ends) else 0))
+def _expand(lo, counts):
+    """(owner, position) of every entry of the ranges
+    [lo[i], lo[i] + counts[i]), in owner order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) + (lo - start)[owner]
 
 
 def _check_scaled(value, target, what):
@@ -203,9 +211,9 @@ def _mask(full, keep):
         anc[a:b] = np.where(p < 0, -1, np.where(keep[p], new_id[p], anc[p]))
     counts = np.diff(full.site_ptr)[ids]
     site_ptr = np.concatenate(([0], np.cumsum(counts)))
+    _, at = _expand(full.site_ptr[ids], counts)
     tree = NodeArrays(full.level[ids], full.ix[ids], full.iy[ids], anc[ids],
-                      site_ptr, full.site_ids[_run_index(full.site_ptr[ids],
-                                                         counts)])
+                      site_ptr, full.site_ids[at])
     tree.full, tree.full_id = full, ids
     return tree
 
@@ -232,7 +240,7 @@ def build_quadtree(sites, params):
     if len(xy) == 0:
         raise ValueError("no sites")
     if len(xy) >= 2:
-        d, _, _ = closest_pair(xy.tolist())
+        d, _, _ = closest_pair(xy)
         _check_scaled(d, float(params.c), "closest-pair distance")
     tree = _grid_tree(xy[:, 0], xy[:, 1], _root_level(xy))
     if (np.diff(tree.site_ptr)[tree.level == 0] > 1).any():
@@ -272,59 +280,60 @@ def build_quadforest(sites, params, depth=None):
 
 
 def partition_components(sites, params):
-    """Site-index classes no transmission edge can cross (far-apart groups).
+    """Site-index classes no transmission edge can cross (far-apart groups),
+    as ascending index lists, sorted.
 
     Two sites interact only if the axis-parallel squares of side 2M
     centered at them intersect, where M is the largest radius after
     smallest-radius normalization. Connected components of that
-    intersection graph are found with a uniform grid and union-find.
+    intersection graph come from a uniform grid of buckets of side w = 2M:
+    a bucket's sites are pairwise within chebyshev distance w, so each
+    bucket is connected, and two adjacent buckets are joined when they
+    hold a witness pair within chebyshev distance w. The pair of sites
+    furthest towards each other is tried first, in the kd-tree's
+    arithmetic (the largest per-axis float difference); a kd-tree query
+    decides the rest, so the verdicts are those of querying every pair.
     """
-    n = len(sites)
+    xyr = site_array(sites)
+    n = len(xyr)
     if n == 0:
         return []
-    M = max(s.radius for s in sites)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    w = 2.0 * M
-    xy = np.array([(s.x, s.y) for s in sites], dtype=np.float64)
-    buckets = {}
-    for i, s in enumerate(sites):
-        buckets.setdefault((math.floor(s.x / w), math.floor(s.y / w)), []).append(i)
-    # a bucket is w x w, so its sites are pairwise within chebyshev
-    # distance w and form a single component
-    for members in buckets.values():
-        for i in members[1:]:
-            union(members[0], i)
-    # across adjacent buckets one witness pair within chebyshev distance w
-    # merges both (already internally connected) bucket components
+    w = 2.0 * float(xyr[:, 2].max())
+    xy = xyr[:, :2]
+    keys, label = np.unique(np.floor(xy / w).astype(np.int64), axis=0,
+                            return_inverse=True)
+    label = label.ravel()
+    count = np.bincount(label)
+    ptr = np.cumsum(count)
+    members = np.split(np.argsort(label, kind="stable"), ptr[:-1])
+    bucket = {key: u for u, key in enumerate(map(tuple, keys.tolist()))}
+    offsets = ((1, -1), (1, 0), (1, 1), (0, 1))
+    # adjacent buckets a[i], b[i], b at offsets[off[i]] from a
+    a, b, off = np.array([
+        (u, bucket[(bx + dx, by + dy)], i)
+        for u, (bx, by) in enumerate(keys.tolist())
+        for i, (dx, dy) in enumerate(offsets)
+        if (bx + dx, by + dy) in bucket], dtype=np.int64).reshape(-1, 3).T
+    # ends[i, 0 / 1, u]: bucket u's first / last site along offsets[i];
+    # a's last and b's first are the pair tried first
+    ends = np.stack([np.lexsort((dx * xy[:, 0] + dy * xy[:, 1], label))[
+        [ptr - count, ptr - 1]] for dx, dy in offsets])
+    joined = np.abs(xy[ends[off, 1, a]] - xy[ends[off, 0, b]]).max(axis=1) <= w
     trees = {}
-    for (bx, by), members in buckets.items():
-        for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
-            okey = (bx + dx, by + dy)
-            other = buckets.get(okey)
-            if other is None or find(members[0]) == find(other[0]):
-                continue
-            if okey not in trees:
-                trees[okey] = cKDTree(xy[other])
-            d, _ = trees[okey].query(xy[members], p=np.inf,
-                                     distance_upper_bound=w * (1.0 + 1e-9))
-            if np.min(d) <= w:
-                union(members[0], other[0])
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+    for i in np.flatnonzero(~joined).tolist():
+        u, v = int(a[i]), int(b[i])
+        if v not in trees:
+            trees[v] = cKDTree(xy[members[v]])
+        d, _ = trees[v].query(xy[members[u]], p=np.inf,
+                              distance_upper_bound=w * (1.0 + 1e-9))
+        joined[i] = np.min(d) <= w
+    _, comp = connected_components(
+        csr_matrix((np.ones(int(joined.sum())), (a[joined], b[joined])),
+                   shape=(len(keys), len(keys))), directed=False)
+    comp = comp[label]
+    order = np.argsort(comp, kind="stable")
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    return sorted(part.tolist() for part in np.split(order, cuts))
 
 
 def build_compressed_quadtree(sites, params):
@@ -342,7 +351,7 @@ def build_compressed_quadtree(sites, params):
     if len(xy) == 0:
         raise ValueError("no sites")
     if len(xy) >= 2:
-        d, i, j = closest_pair(xy.tolist())
+        d, i, j = closest_pair(xy)
         if d <= 0.0:
             raise ValueError(f"duplicate points (sites {i} and {j})")
         _check_scaled(d, float(params.c + 2), "closest-pair distance")
@@ -531,9 +540,9 @@ def _preorder_sites(tree):
         start[a:b] += np.where(p < 0, 0, start[p])
     leaf = np.flatnonzero(tree.fan_out() == 0)
     listed = np.empty(int(count[leaf].sum()), dtype=np.int64)
-    listed[_run_index(start[leaf], count[leaf])] = \
-        tree.site_ids[_run_index(tree.site_ptr[leaf], count[leaf])]
-    return listed[_run_index(start, count)]
+    listed[_expand(start[leaf], count[leaf])[1]] = \
+        tree.site_ids[_expand(tree.site_ptr[leaf], count[leaf])[1]]
+    return listed[_expand(start, count)[1]]
 
 
 def build_hierarchy(sites, params, variant):
@@ -652,12 +661,17 @@ def _populate_assignments(cells, radius, params, variant):
     return m, max_radius, R_ptr, ids[inside]
 
 
+# pairs per chunk of the cone_assignments expansion: bounds its
+# intermediates
+_CHUNK = 1 << 16
+
+
 def neighbor_pair_rows(decomp, prune=True):
-    """Ordered neighbor pairs (target node id, source node id, level), in
-    no particular order.
+    """Ordered neighbor pairs as int32 arrays (target node id, source node
+    id, level), in no particular order.
 
     A pair (sigma, tau) qualifies when both cells share a level and their
-    gap lies in [c-2, 2c) cell diameters (checked in exact integer
+    gap lies in [c-2, 2c) cell diameters (Annulus.gap2, exact integer
     arithmetic). With prune=True, pairs whose source cell holds no site
     that could reach the target cell (max radius below the gap) are
     dropped; such pairs can contribute neither edges nor Definition-3
@@ -665,12 +679,9 @@ def neighbor_pair_rows(decomp, prune=True):
     decomposition check reads it.
     """
     c = decomp.params.c
-    lo2 = 2 * (c - 2) * (c - 2)
-    hi2 = 8 * c * c
+    ann = Annulus(c)
     r_out = 2 * c * SQRT2 + 1.0
-    out_v = []
-    out_t = []
-    out_lvl = []
+    parts = [[np.zeros(0, dtype=np.int32)] * 3]
     for lvl, (ids, ix, iy, mrad) in decomp.level_arrays.items():
         if len(ids) < 2:
             continue
@@ -682,28 +693,22 @@ def neighbor_pair_rows(decomp, prune=True):
             # a source cell needs a site whose radius reaches the minimum
             # gap of the annulus, which excludes almost all cells at
             # coarse levels and keeps the pair count near-linear
-            sources = sources[mrad >= math.sqrt(lo2) * side - EPS]
+            sources = sources[mrad >= math.sqrt(ann.lo2) * side - EPS]
         for s0 in range(0, len(sources), 256):
             chunk = sources[s0:s0 + 256]
             near = cKDTree(pts[chunk]).sparse_distance_matrix(
                 tree, r_out, p=np.inf, output_type="ndarray")
             src = chunk[near["i"]]
             tgt = near["j"].astype(np.int64)
-            gx = np.maximum(np.abs(ix[src] - ix[tgt]) - 1, 0)
-            gy = np.maximum(np.abs(iy[src] - iy[tgt]) - 1, 0)
-            g2 = gx * gx + gy * gy
-            keep = (g2 >= lo2) & (g2 < hi2)
+            g2 = ann.gap2(ix[src] - ix[tgt], iy[src] - iy[tgt])
+            keep = (g2 >= ann.lo2) & (g2 < ann.hi2)
             if prune:
                 keep &= mrad[src] >= \
                     np.sqrt(g2.astype(np.float64)) * side - EPS
-            if keep.any():
-                out_v.append(ids[tgt[keep]].astype(np.int32))
-                out_t.append(ids[src[keep]].astype(np.int32))
-                out_lvl.append(np.full(int(keep.sum()), lvl, dtype=np.int32))
-    if not out_v:
-        z = np.zeros(0, dtype=np.int32)
-        return z, z, z
-    return np.concatenate(out_v), np.concatenate(out_t), np.concatenate(out_lvl)
+            parts.append([a.astype(np.int32) for a in (
+                ids[tgt[keep]], ids[src[keep]],
+                np.full(int(keep.sum()), lvl))])
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def derive_decomposition(tree, params, variant, sites):
@@ -728,52 +733,31 @@ def derive_decomposition(tree, params, variant, sites):
 def cone_assignments(decomp):
     """Pruned neighbor pairs annotated with the cones that must consider them.
 
-    Returns an integer array of rows (cone, level, target id, source id)
-    in which the rows of each level form one contiguous run, the unit the
+    Returns an int32 array of rows (cone, level, target id, source id) in
+    which the rows of each level form one contiguous run, the unit the
     selection sweep takes at a time; levels come in no particular order. A
     source cell is assigned to cone j when it lies entirely inside the
-    doubled cone of j whose apex is the target cell's center; the angular
-    arithmetic is cone_ranges, vectorized over all pairs.
+    doubled cone of j whose apex is the target cell's center: the range
+    Annulus.shared_cones gives for the source cell's offset from the
+    target cell.
     """
     k = decomp.params.k
     tv, tt, lvl = neighbor_pair_rows(decomp, prune=True)
-    if len(tv) == 0:
-        return np.zeros((0, 4), dtype=np.int64)
-    ix = decomp.ix.astype(np.float64)
-    iy = decomp.iy.astype(np.float64)
-    parts = []
-    # chunked so the float intermediates stay bounded on large inputs
-    for s in range(0, len(tv), 2_000_000):
-        tv_c = tv[s:s + 2_000_000]
-        tt_c = tt[s:s + 2_000_000]
-        lvl_c = lvl[s:s + 2_000_000]
-        side = (2.0 ** lvl_c) / SQRT2
-        ax = (ix[tv_c] + 0.5) * side
-        ay = (iy[tv_c] + 0.5) * side
-        x0 = ix[tt_c] * side
-        y0 = iy[tt_c] * side
-        angs = np.empty((4, len(tv_c)))
-        for ci, (cx, cy) in enumerate(((x0, y0), (x0 + side, y0),
-                                       (x0 + side, y0 + side),
-                                       (x0, y0 + side))):
-            angs[ci] = np.arctan2(cy - ay, cx - ax)
-        j_lo, j_hi = cone_ranges(angs, k)
-        ok = j_hi >= j_lo
-        counts = (j_hi - j_lo + 1)[ok]
-        if len(counts) == 0:
-            continue
-        base = j_lo[ok]
-        total = int(counts.sum())
-        rep = np.repeat(np.arange(len(counts)), counts)
-        start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        cone = (base[rep] + (np.arange(total) - start[rep])) % k
-        parts.append(np.stack([cone.astype(np.int32),
-                               lvl_c[ok][rep].astype(np.int32),
-                               tv_c[ok][rep].astype(np.int32),
-                               tt_c[ok][rep].astype(np.int32)], axis=1))
-    if not parts:
-        return np.zeros((0, 4), dtype=np.int64)
-    return parts[0] if len(parts) == 1 else np.vstack(parts)
+    j_lo, count = Annulus(decomp.params.c).shared_cones(
+        k, decomp.ix[tt] - decomp.ix[tv], decomp.iy[tt] - decomp.iy[tv])
+    rows = np.empty((int(count.sum()), 4), dtype=np.int32)
+    # chunked so the (pair, cone) expansion stays bounded on large inputs
+    end = 0
+    for a in range(0, len(tv), _CHUNK):
+        b = a + _CHUNK
+        pair, cone = _expand(j_lo[a:b], count[a:b])
+        out = rows[end:end + len(pair)]
+        end += len(pair)
+        out[:, 0] = cone % k
+        out[:, 1] = lvl[a:b][pair]
+        out[:, 2] = tv[a:b][pair]
+        out[:, 3] = tt[a:b][pair]
+    return rows
 
 
 def decomposition_dump(decomp):
@@ -800,9 +784,8 @@ def check_decomposition(decomp, sites, graph):
     """
     from .core import disk_contains
 
-    c = decomp.params.c
-    lo2 = 2 * (c - 2) * (c - 2)
-    hi2 = 8 * c * c
+    ann = Annulus(decomp.params.c)
+    lo2, hi2 = ann.lo2, ann.hi2
     nodes = decomp.nodes
     neighbors = [[] for _ in nodes]
     tv, tt, _ = neighbor_pair_rows(decomp, prune=False)
@@ -849,31 +832,72 @@ def check_decomposition(decomp, sites, graph):
 
 
 # ---------------------------------------------------------------------------
-# explicit volume bounds
+# the annulus geometry of a cell offset
 
-@lru_cache(maxsize=None)
+class Annulus:
+    """The annulus geometry of one c for integer offsets (dx, dy) of a
+    same-level cell tau from a cell sigma. The cell side cancels, so the
+    answers depend on the offset alone: gap2 is same_level_gap_sq(sigma,
+    tau), the cells are annulus neighbors, their gap in [c - 2, 2c) cell
+    diameters, iff lo2 <= gap2 < hi2 (a diameter is sqrt(2) sides), and
+    cones gives the doubled cones with apex at sigma's centre that contain
+    all of tau. Costs follow the offsets asked about, not c.
+    """
+
+    def __init__(self, c):
+        self.lo2, self.hi2 = 2 * (c - 2) * (c - 2), 8 * c * c
+        # at a per-axis offset of span the gap is span - 1 > 2c sqrt 2
+        # sides, so clipping offsets to +-span keeps far cells outside
+        # the annulus and every square within int64
+        self.span = int(math.ceil(2 * c * SQRT2)) + 2
+
+    def gap2(self, dx, dy):
+        """same_level_gap_sq per offset (int64), of offsets clipped to
+        +-span."""
+        gx, gy = (np.maximum(np.minimum(np.abs(d), self.span) - 1, 0)
+                  for d in (dx, dy))
+        return gx * gx + gy * gy
+
+    def cones(self, k, dx, dy):
+        """(j_lo, count) per annulus offset: the doubled cones j_lo, ...,
+        j_lo + count - 1 (mod k) of k, 0 <= j_lo < k; count is 0 for a
+        cell that wraps around the apex. This is cone_ranges at side 1
+        from the centre (0.5, 0.5) of cell (0, 0); annulus cells lie at
+        least one side from it, so no corner coincides with the apex."""
+        x0, y0 = np.asarray(dx) - 0.5, np.asarray(dy) - 0.5
+        x1, y1 = x0 + 1.0, y0 + 1.0
+        j_lo, j_hi = cone_ranges(np.stack([np.arctan2(y, x) for x, y in (
+            (x0, y0), (x1, y0), (x1, y1), (x0, y1))]), k)
+        return j_lo % k, np.maximum(j_hi - j_lo + 1, 0)
+
+    def shared_cones(self, k, dx, dy):
+        """cones of many annulus offsets that repeat, each distinct offset
+        measured once."""
+        w = 2 * self.span + 1
+        key, at = np.unique((np.asarray(dx, dtype=np.int64) + self.span) * w
+                            + dy + self.span, return_inverse=True)
+        j_lo, count = self.cones(
+            k, *(np.array(np.divmod(key, w)) - self.span))
+        return j_lo[at], count[at]
+
+    def axis_gaps(self):
+        """The per-axis squared gaps of the offsets -span..span, sorted."""
+        return np.sort(self.gap2(np.arange(-self.span, self.span + 1), 0))
+
+
 def annulus_cell_count(c):
     """Exact number of same-level cells whose gap to a fixed cell lies in
     [c-2, 2c) diameters; the concrete form of the O(c^2) neighborhood
     volume bound."""
-    lo2 = 2 * (c - 2) * (c - 2)
-    hi2 = 8 * c * c
-    span = int(math.ceil(2 * c * SQRT2)) + 2
-    d = np.arange(-span, span + 1)
-    gx = np.maximum(np.abs(d)[:, None] - 1, 0)
-    gy = np.maximum(np.abs(d)[None, :] - 1, 0)
-    g2 = gx * gx + gy * gy
-    return int(((g2 >= lo2) & (g2 < hi2)).sum())
+    ann = Annulus(c)
+    g = ann.axis_gaps()
+    return int((np.searchsorted(g, ann.hi2 - g)
+                - np.searchsorted(g, ann.lo2 - g)).sum())
 
 
-@lru_cache(maxsize=None)
 def near_cell_count(c):
     """Exact number of level-0 cells within gap distance c - 2 of a fixed
     cell (the first query phase of the geometric reachability oracle)."""
-    lim2 = 2 * (c - 2) * (c - 2)
-    span = int(math.ceil((c - 2) * SQRT2)) + 2
-    d = np.arange(-span, span + 1)
-    gx = np.maximum(np.abs(d)[:, None] - 1, 0)
-    gy = np.maximum(np.abs(d)[None, :] - 1, 0)
-    g2 = gx * gx + gy * gy
-    return int((g2 <= lim2).sum())
+    ann = Annulus(c)
+    g = ann.axis_gaps()
+    return int(np.searchsorted(g, ann.lo2 - g, "right").sum())

@@ -21,14 +21,13 @@ from scipy.spatial import cKDTree
 
 # cone_range_for_cell and materialize are unused here but stay in this
 # namespace: the benchmark's trace mode wraps them in this module by name
-from .core import (EPS, SQRT2, cone_range_for_cell, cone_ranges,
-                   disk_contains, normalize, spanner_parameters)
-from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO,
-                            annulus_cell_count, build_quadforest,
+from .core import (EPS, SQRT2, cone_range_for_cell, disk_contains,
+                   normalize, spanner_parameters)
+from .decomposition import (NORMALIZE_MODE, VARIANT_RATIO, Annulus,
+                            _expand, annulus_cell_count, build_quadforest,
                             derive_decomposition, near_cell_count,
                             site_array)
 from .oracle import materialize
-from .spanner import _expand
 
 # sources per chunk of `transmission_edges`: bounds the candidate pairs
 # held at once; at most 2**16, so a chunk's edges sort by 16-bit offsets
@@ -168,7 +167,7 @@ class GeomOracle:
     levels: row i is a node's cell (`row_level`, `row_ix`, `row_iy`), and
     its members are the entries with `member_row` == i, stored with their
     original coordinates (`member_x`, `member_y`), squared padded radii
-    `member_rr2` = (r + EPS)^2 and ids `member_id`, so containment
+    `member_rr2` = (r + EPS)^2 and list positions `member_id`, so containment
     verdicts are those of `disk_contains`. The table holds every level-0
     node, and each node of a level >= 1 whose largest padded radius reaches
     the annulus's inner gap of (c - 2) diameters 2^level: such a node is
@@ -200,7 +199,6 @@ class GeomOracle:
         self.site_x = orig[:, 0].copy()
         self.site_y = orig[:, 1].copy()
         self.site_rr = orig[:, 2] + EPS
-        self.site_id = np.array([s.id for s in self.sites], dtype=np.int64)
         self.depth = int(d.level[0])
         # bounding box of all disks, padded past the containment tolerance
         # and float rounding, so points outside it lie in no disk
@@ -239,14 +237,15 @@ class GeomOracle:
          self.member_id) = self._members(rows)
 
     def _members(self, nodes):
-        """(owner, x, y, (r + EPS)^2, id) of the sites of the decomposition's
-        `nodes`, node by node; owner is the position in `nodes`."""
+        """(owner, x, y, (r + EPS)^2, site) of the sites of the
+        decomposition's `nodes`, node by node; owner is the position in
+        `nodes`, site the position in `sites`."""
         d = self.decomp
         lo = d.site_ptr[nodes]
         owner, at = _expand(lo, d.site_ptr[nodes + 1] - lo)
         m = d.site_ids[at]
         rr = self.site_rr[m]
-        return owner, self.site_x[m], self.site_y[m], rr * rr, self.site_id[m]
+        return owner, self.site_x[m], self.site_y[m], rr * rr, m
 
     @property
     def stored_site_refs(self):
@@ -254,7 +253,7 @@ class GeomOracle:
 
     def probe(self, level, pos, x, y):
         """Per node at positions `pos` of `level` (in `decomp.level_arrays`
-        node order), the id of a site whose disk contains (x, y), or -1:
+        node order), the position of a site whose disk contains (x, y), or -1:
         `_first_containing` over those nodes' sites."""
         nodes = self.decomp.level_arrays[level][0][pos]
         at, ids = _first_containing(*self._members(nodes), x, y)
@@ -296,23 +295,22 @@ def cover_set(oracle, point):
     the point's cell. Phase 2 answers the paper's climb over the levels,
     cone by cone, in one pass: the annulus cells of the point's cell
     (gap in [c-2, 2c) diameters) at every level are probed together with
-    the phase-1 cells, and cone ranges (doubled cones, apex at the centre
-    of the point's cell) are taken for the annulus hits only. stop[j] is
-    the lowest level of a hit whose range holds cone j, and a hit at level
-    l joins the cover iff some cone j of its range has stop[j] == l. So a
-    cone stops at its first level with a hit, after taking every hit of
-    that level in its doubled cone, and a hit whose cones all stopped lower
+    the phase-1 cells, and each annulus hit takes the cone range (doubled
+    cones, apex at the centre of the point's cell) that Annulus.cones
+    gives for its offset from the point's cell. stop[j] is the lowest
+    level of a hit whose range holds cone j, and a hit at level l joins
+    the cover iff some cone j of its range has stop[j] == l. So a cone
+    stops at its first level with a hit, after taking every hit of that
+    level in its doubled cone, and a hit whose cones all stopped lower
     joins no cover and moves no stop. A level-0 cell at gap^2 exactly
     2 (c-2)^2 takes part in both phases.
 
-    The probe runs over all members of the oracle's table first, and
-    gaps are computed only for the rows holding a containing member: the
-    same hits, since a row's answer does not depend on the other rows. A
-    point outside the bounding box of all disks gets an empty cover; a
-    non-finite point raises ValueError.
+    The probe tests all members of the oracle's table at once; gaps and
+    cone ranges are taken for the hits' rows only. A point outside the bounding box of all
+    disks gets an empty cover; a non-finite point raises ValueError.
     """
-    c = oracle.params.c
     k = oracle.params.k
+    ann = Annulus(oracle.params.c)
     x, y = point
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"query point must be finite, got ({x}, {y})")
@@ -321,41 +319,20 @@ def cover_set(oracle, point):
         return CoverSet([])
     tx = x * oracle.scale + oracle.offset[0]
     ty = y * oracle.scale + oracle.offset[1]
-    lo2 = 2 * (c - 2) * (c - 2)
-    hi2 = 8 * c * c
     rows, ids = _first_containing(oracle.member_row, oracle.member_x,
                                   oracle.member_y, oracle.member_rr2,
                                   oracle.member_id, x, y)
     # the point's cell at each hit's level, with cell_of's float side
     lvl = oracle.row_level[rows]
     side = np.ldexp(1.0, lvl) / SQRT2
-    kx = np.floor(tx / side).astype(np.int64)
-    ky = np.floor(ty / side).astype(np.int64)
-    ix = oracle.row_ix[rows]
-    iy = oracle.row_iy[rows]
-    gx = np.maximum(np.abs(ix - kx) - 1, 0)
-    gy = np.maximum(np.abs(iy - ky) - 1, 0)
-    g2 = gx * gx + gy * gy
-    phase1 = ids[(lvl == 0) & (g2 <= lo2)].tolist()
-
-    ring = np.flatnonzero((g2 >= lo2) & (g2 < hi2))
-    lvl, side, kx, ky, ix, iy, ids = (a[ring] for a in
-                                      (lvl, side, kx, ky, ix, iy, ids))
-    # annulus cells lie at least one side from the apex, so no corner
-    # coincides with it
-    ax = (kx + 0.5) * side
-    ay = (ky + 0.5) * side
-    cx0 = ix * side
-    cy0 = iy * side
-    cx1 = (ix + 1) * side
-    cy1 = (iy + 1) * side
-    angs = np.empty((4, len(ring)))
-    for ci, (cx, cy) in enumerate(((cx0, cy0), (cx1, cy0), (cx1, cy1),
-                                   (cx0, cy1))):
-        angs[ci] = np.arctan2(cy - ay, cx - ax)
-    j_lo, j_hi = cone_ranges(angs, k)
-    # one entry per (hit, cone of its range); a wrapping cell has none
-    owner, cone = _expand(j_lo, np.maximum(j_hi - j_lo + 1, 0))
+    dx = oracle.row_ix[rows] - np.floor(tx / side).astype(np.int64)
+    dy = oracle.row_iy[rows] - np.floor(ty / side).astype(np.int64)
+    g2 = ann.gap2(dx, dy)
+    phase1 = ids[(lvl == 0) & (g2 <= ann.lo2)].tolist()
+    ring = np.flatnonzero((g2 >= ann.lo2) & (g2 < ann.hi2))
+    lvl, ids = lvl[ring], ids[ring]
+    # one entry per (annulus hit, cone of its range)
+    owner, cone = _expand(*ann.cones(k, dx[ring], dy[ring]))
     cone %= k
     stop = np.full(k, oracle.depth + 1, dtype=np.int64)
     np.minimum.at(stop, cone, lvl[owner])

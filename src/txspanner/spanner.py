@@ -29,12 +29,13 @@ import numpy as np
 
 from scipy.spatial import cKDTree
 
-from .core import (EPS, SpannerParams, cell_of, disk_contains, normalize,
+from .core import (EPS, SQRT2, SpannerParams, disk_contains, normalize,
                    params_satisfy, spanner_parameters)
 from .decomposition import (NORMALIZE_MODE, VARIANT_GENERAL, VARIANT_RATIO,
-                            VARIANT_SPREAD, annulus_cell_count,
-                            augment_with_wspd, build_compressed_quadtree,
-                            build_quadforest, build_quadtree, compute_wspd,
+                            VARIANT_SPREAD, Annulus, _expand,
+                            annulus_cell_count, augment_with_wspd,
+                            build_compressed_quadtree, build_quadforest,
+                            build_quadtree, compute_wspd,
                             cone_assignments, derive_decomposition,
                             forest_depth, partition_components, radius_ratio,
                             site_array)
@@ -166,10 +167,12 @@ class SpannerGraph:
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 5:
-                raise ValueError(f"{path}: bad header, expected 'n m t k c'")
-            n, m = int(header[0]), int(header[1])
-            t = float(header[2])
-            k, c = int(header[3]), int(header[4])
+                raise ValueError(f"{path}:1: bad header, expected 'n m t k c'")
+            try:
+                n, m, k, c = (int(header[i]) for i in (0, 1, 3, 4))
+                t = float(header[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:1: {exc}") from None
             if not (math.isfinite(t) and t > 1.0):
                 raise ValueError(f"{path}:1: stretch must be finite and "
                                  f"exceed 1, got {header[2]}")
@@ -181,7 +184,10 @@ class SpannerGraph:
                 parts = line.split()
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{lineno}: expected 'src dst length'")
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+                try:
+                    u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"{path}:{lineno}: endpoint outside "
                                      f"[0, {n}) in edge {u} {v}")
@@ -376,14 +382,6 @@ def select_edges_bruteforce(targets, disks):
 # bound on the entries one numpy pass holds at once: (row, target) pairs
 # and containment candidates of the sweep, edges of _finish
 _SWEEP_CHUNK = 1 << 14
-
-
-def _expand(lo, counts):
-    """(owner, position) of every entry of the ranges
-    [lo[i], lo[i] + counts[i]), in owner order."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    start = np.cumsum(counts) - counts
-    return owner, np.arange(len(owner)) + (lo - start)[owner]
 
 
 def _chunks(weight):
@@ -705,17 +703,12 @@ def verify_shorter_edge(sites, H, params=None):
     p_all, q_all = p_all[order], q_all[order]
     need = ~H.has_edges(p_all, q_all)
     if H.variant == VARIANT_RATIO:
-        c = params.c
-        ox, oy = H.offset
-        cells = [cell_of(s.x * H.scale + ox, s.y * H.scale + oy, 0)
-                 for s in sites]
-        # normalize caps the extent, so float64 holds the cell indices
-        # exactly, and rounding the squares cannot cross the small bound
-        ix = np.array([cell.ix for cell in cells], dtype=np.float64)
-        iy = np.array([cell.iy for cell in cells], dtype=np.float64)
-        gx = np.maximum(0.0, np.abs(ix[p_all] - ix[q_all]) - 1.0)
-        gy = np.maximum(0.0, np.abs(iy[p_all] - iy[q_all]) - 1.0)
-        need &= gx * gx + gy * gy >= 2 * (c - 2) * (c - 2)
+        # the level-0 cells of the normalized sites, with cell_of's float
+        # side; normalize caps the extent, so float64 holds them exactly
+        cell = np.floor((xy * H.scale + np.asarray(H.offset)) / (1 / SQRT2))
+        ann = Annulus(params.c)
+        need &= ann.gap2(*(cell[p_all] - cell[q_all]).astype(np.int64).T) \
+            >= ann.lo2
     p_all, q_all = p_all[need], q_all[need]
     bounds = np.searchsorted(q_all, np.arange(n + 1)).tolist()
     violations = []

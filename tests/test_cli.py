@@ -193,6 +193,33 @@ def test_build_rejects_non_finite_site(tmp_path, capsys, line):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["0 abc 1", "0 0 1e"])
+def test_build_reports_site_parse_error_location(tmp_path, capsys, line):
+    sites = tmp_path / "sites.txt"
+    sites.write_text(f"0 0 1\n# note\n{line}\n")
+    rc = main(["build", str(sites), "--t", "2",
+               "--out", str(tmp_path / "h.txt")])
+    assert rc == 2
+    assert f"{sites}:3: could not convert string to float" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, edge, lineno, message", [
+    ("20 x 2.0 101 68", "0 1 0.1", 1, "invalid literal for int()"),
+    ("20 1 two 101 68", "0 1 0.1", 1, "could not convert string to float"),
+    ("20 1 2.0 101 68", "0 one 0.1", 2, "invalid literal for int()"),
+    ("20 1 2.0 101 68", "0 1 short", 2, "could not convert string to float"),
+])
+def test_bfs_reports_spanner_parse_error_location(tmp_path, capsys, header,
+                                                  edge, lineno, message):
+    sites = _gen(tmp_path, n=20)
+    spanner = tmp_path / "h.txt"
+    spanner.write_text(f"{header}\n{edge}\n")
+    capsys.readouterr()
+    assert main(["bfs", str(sites), str(spanner), "--root", "0"]) == 2
+    assert f"{spanner}:{lineno}: {message}" in capsys.readouterr().err
+
+
 # two close sites plus four far ones whose normalized coordinates pass
 # 2^52, where float64 no longer resolves level-0 cells
 EXTREME_RANGE = ("0 0 1\n1 0 1\n1e18 0 300\n1000000000000000256 0 300\n"

@@ -238,8 +238,7 @@ def test_cone_range_matches_direct_check():
             sigma = GridCell(level, rng.randrange(-5, 6), rng.randrange(-5, 6))
             tau = GridCell(level, rng.randrange(-5, 6), rng.randrange(-5, 6))
             apex = sigma.center()
-            j_lo, j_hi = cone_range_for_cell(tau.cell if hasattr(tau, "cell") else tau,
-                                             apex, k)
+            j_lo, j_hi = cone_range_for_cell(tau, apex, k)
             members = {j % k for j in range(j_lo, j_hi + 1)}
             direct = {j for j in range(k)
                       if cell_in_cone(tau, Cone(j, k, apex, expansion=2))}
@@ -285,6 +284,23 @@ def test_closest_pair_matches_bruteforce():
         assert abs(d - brute) < 1e-12
         assert abs(math.hypot(pts[i][0] - pts[j][0],
                               pts[i][1] - pts[j][1]) - d) < 1e-12
+
+
+@pytest.mark.parametrize("unit", [1e-170, 1e-160, 1e160])
+def test_closest_pair_at_extreme_scales(unit):
+    # squared distances of these spacings underflow or overflow in
+    # float64; the answer is still the least hypot, and normalize scales
+    # the sites
+    pts = [(0.0, 0.0), (unit, 0.0), (3 * unit, 2 * unit), (-unit, 4 * unit)]
+    d, i, j = closest_pair(pts)
+    assert (d, i, j) == min(
+        (math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1]), a, b)
+        for a in range(len(pts)) for b in range(a + 1, len(pts)))
+    assert (d, i, j) == (unit, 0, 1)
+    out, scale, _ = normalize(make_sites([(x, y, unit) for x, y in pts]),
+                              MODE_CLOSEST_PAIR_C, 68)
+    assert math.hypot(out[0].x - out[1].x, out[0].y - out[1].y) == \
+        pytest.approx(68.0, rel=1e-12)
 
 
 def test_normalize_closest_pair_scale():

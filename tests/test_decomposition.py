@@ -5,6 +5,7 @@ import importlib.util
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,13 @@ from conftest import normalized_for, random_instance
 from test_spanner import _clumped_instance
 from txspanner.cli import generate_sites
 from txspanner.core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                            MODE_SMALLEST_RADIUS, SQRT2,
-                            cell_distance, cell_of, make_sites, normalize,
+                            MODE_SMALLEST_RADIUS, SQRT2, GridCell,
+                            cell_distance, cell_of, cone_range_for_cell,
+                            make_sites, normalize, same_level_gap_sq,
                             spanner_parameters)
 from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      VARIANT_SPREAD, QuadNode,
-                                     annulus_cell_count,
+                                     Annulus, annulus_cell_count,
                                      augment_with_wspd,
                                      build_compressed_quadtree,
                                      build_hierarchy, build_quadforest,
@@ -31,6 +33,7 @@ from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      near_cell_count, neighbor_pair_rows,
                                      partition_components, radius_ratio)
 from txspanner.oracle import degenerate_instances, materialize
+from txspanner.spanner import BUILDERS
 
 PARAMS = spanner_parameters(2.0)
 
@@ -604,6 +607,62 @@ def test_cell_count_formulas_match_bruteforce():
                     near += 1
         assert annulus_cell_count(c) == annulus
         assert near_cell_count(c) == near
+
+
+@pytest.mark.parametrize("k, c", [
+    *((p.k, p.c) for p in map(spanner_parameters, (1.5, 2.0, 3.0))),
+    (40_000, 8)])
+def test_annulus_table_matches_scalar_reference(k, c):
+    # every offset of the span: the gap of same_level_gap_sq, and for the
+    # annulus offsets the cone set of cone_range_for_cell, apex at the
+    # centre of a cell away from the origin, at two levels; k = 40000
+    # takes cone indices past 2^15
+    ann = Annulus(c)
+    ix0, iy0 = 137, -59
+    d = np.arange(-ann.span, ann.span + 1)
+    off_x, off_y = (a.ravel() for a in np.meshgrid(d, d, indexing="ij"))
+    gap2 = ann.gap2(off_x, off_y)
+    ring = (gap2 >= 2 * (c - 2) * (c - 2)) & (gap2 < 8 * c * c)
+    assert ring.sum() == annulus_cell_count(c)
+    for dx, dy, g2 in zip(off_x.tolist(), off_y.tolist(), gap2.tolist()):
+        assert g2 == same_level_gap_sq(GridCell(0, dx, dy), GridCell(0, 0, 0))
+    j_lo, count = ann.cones(k, off_x[ring], off_y[ring])
+    assert ((0 <= j_lo) & (j_lo < k)).all()
+    # shared_cones measures each distinct offset once: same answers on
+    # the offsets repeated, in another order
+    rx, ry = np.tile(off_x[ring][::-1], 2), np.tile(off_y[ring][::-1], 2)
+    for a, b in zip(ann.shared_cones(k, rx, ry), (j_lo, count)):
+        assert np.array_equal(a, np.tile(b[::-1], 2))
+    for dx, dy, lo_j, n_j in zip(off_x[ring].tolist(), off_y[ring].tolist(),
+                                 j_lo.tolist(), count.tolist()):
+        cones = {(lo_j + i) % k for i in range(n_j)}
+        for lvl in (0, 3):
+            apex = GridCell(lvl, ix0, iy0).center()
+            lo, hi = cone_range_for_cell(GridCell(lvl, ix0 + dx, iy0 + dy),
+                                         apex, k)
+            assert cones == {j % k for j in range(lo, hi + 1)}, (dx, dy, lvl)
+    # far offsets are clipped: neither near nor in the annulus, and their
+    # squares do not wrap
+    far = ann.gap2(np.array([10 ** 12, -ann.span - 1, 2 ** 62]),
+                   np.array([0, 3 * ann.span, -2 ** 62]))
+    assert (far >= 8 * c * c).all()
+
+
+@pytest.mark.parametrize("t", [1.05, 1.01])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_small_stretch_build_stays_small(t, builder):
+    # c grows as t -> 1 (c = 3236 at t = 1.01), but the annulus work must
+    # follow the cell pairs of the input, not the c^2 cells of the annulus
+    sites = generate_sites(200, "uniform-square", "pareto", seed=1,
+                           psi_cap=8.0)
+    tracemalloc.start()
+    try:
+        H = BUILDERS[builder](sites, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.m > 0
+    assert peak < 32 * 2 ** 20
 
 
 def test_dump_format():

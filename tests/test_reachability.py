@@ -14,7 +14,8 @@ from conftest import random_instance
 from test_spanner import _clumped_instance
 from txspanner.cli import generate_sites
 from txspanner.core import (EPS, SQRT2, GridCell, cell_of,
-                            cone_range_for_cell, disk_contains, make_sites)
+                            cone_range_for_cell, disk_contains, make_sites,
+                            same_level_gap_sq)
 from txspanner.geom_query import DiskContainment
 from txspanner.oracle import (degenerate_instances, geom_reach_oracle,
                               materialize, reachable_from)
@@ -243,6 +244,23 @@ def test_geom_oracle_rejects_base_of_other_size():
         GeomOracle(sites, base=base)
 
 
+def test_geom_reach_on_sites_whose_ids_are_not_positions():
+    # a slice keeps its sites' ids 20..59; covers, like the base oracle,
+    # must speak of list positions 0..39
+    sites = generate_sites(60, "uniform-square", "pareto", seed=3,
+                           psi_cap=8)[20:]
+    oracle = GeomOracle(sites)
+    rng = random.Random(115)
+    hits = 0
+    for _ in range(200):
+        s = rng.randrange(len(sites))
+        pt = (rng.uniform(-0.2, 1.2), rng.uniform(-0.2, 1.2))
+        want = geom_reach_bruteforce(oracle, s, pt)
+        assert geom_reach(oracle, s, pt) == want, (s, pt)
+        hits += want
+    assert 0 < hits < 200
+
+
 def test_probe_matches_disk_containment():
     # duplicated sites tie on power: the smaller id must win, as in
     # DiskContainment.query; the lone site at (0, -3) has the point
@@ -332,11 +350,12 @@ def _cover_set_reference(oracle, pd, point):
         return None if s is None else s.id
 
     def gap2(lvl):
+        # Python ints: at extreme spread the squares pass 2^63
         ids, ix, iy, _ = arrays[lvl]
         sigma = cell_of(tx, ty, lvl)
-        gx = np.maximum(np.abs(ix - sigma.ix) - 1, 0)
-        gy = np.maximum(np.abs(iy - sigma.iy) - 1, 0)
-        return ids, gx * gx + gy * gy, sigma
+        g2 = [same_level_gap_sq(GridCell(lvl, a, b), sigma)
+              for a, b in zip(ix.tolist(), iy.tolist())]
+        return ids, np.array(g2, dtype=object), sigma
 
     arrays = oracle.decomp.level_arrays
     if 0 in arrays:
