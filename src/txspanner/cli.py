@@ -35,8 +35,8 @@ def generate_sites(n, distribution="uniform-square", radius_model="constant",
         raise ValueError(f"unknown distribution {distribution!r}")
     if radius_model not in RADIUS_MODELS:
         raise ValueError(f"unknown radius model {radius_model!r}")
-    if psi_cap < 1.0:
-        raise ValueError("psi cap must be at least 1")
+    if not psi_cap >= 1.0:
+        raise ValueError(f"psi cap must be at least 1, got {psi_cap}")
     rng = random.Random(seed)
     pts = []
     if distribution == "uniform-square":
@@ -105,6 +105,8 @@ def _attach_variant(H, sites, variant):
 def _cmd_verify(args):
     import numpy as np
 
+    if args.t is not None and not (math.isfinite(args.t) and args.t > 1.0):
+        raise ValueError(f"stretch must be finite and exceed 1, got {args.t}")
     sites = load_sites(args.sites)
     H = SpannerGraph.load(args.spanner)
     if H.n != len(sites):

@@ -10,8 +10,9 @@ level covering all sites) and the quadforest (from level ceil(log2 psi));
 the compressed and the augmented quadtree are masks of it, with no
 per-node Python step. One vectorized step then assigns every node its
 sites R and its max-radius representative m, and the
-`AnnulusDecomposition` holds the result as arrays; neighbor_pair_rows
-enumerates its neighbor relation from the per-level cell arrays.
+`AnnulusDecomposition` holds the result as arrays; neighbor_pairs
+enumerates its neighbor relation one level at a time from the per-level
+cell arrays.
 `QuadNode` views of a hierarchy are built only when a caller reads them.
 
 Whether two same-level cells are annulus neighbors, and which doubled
@@ -597,8 +598,8 @@ class AnnulusDecomposition:
       radius (-1.0 without sites).
     - `R_ptr`, `R_ids`: a CSR of R_sigma, in site order.
     - `level_arrays[lvl]` = (ids, ix, iy, max_radius) of one level, the
-      arrays neighbor_pair_rows enumerates the relation N from, levels in
-      descending order.
+      arrays neighbor_pairs enumerates the relation N of that level from,
+      levels in descending order.
 
     `nodes` is a QuadNode view with m, max_radius and R filled in, built
     on first item access; len(nodes) builds nothing. Nothing in the
@@ -661,14 +662,9 @@ def _populate_assignments(cells, radius, params, variant):
     return m, max_radius, R_ptr, ids[inside]
 
 
-# pairs per chunk of the cone_assignments expansion: bounds its
-# intermediates
-_CHUNK = 1 << 16
-
-
-def neighbor_pair_rows(decomp, prune=True):
-    """Ordered neighbor pairs as int32 arrays (target node id, source node
-    id, level), in no particular order.
+def neighbor_pairs(decomp, lvl, prune=True):
+    """Ordered neighbor pairs of level lvl as int64 arrays (target node id,
+    source node id), in no particular order.
 
     A pair (sigma, tau) qualifies when both cells share a level and their
     gap lies in [c-2, 2c) cell diameters (Annulus.gap2, exact integer
@@ -678,43 +674,38 @@ def neighbor_pair_rows(decomp, prune=True):
     witnesses. With prune=False the full relation N is returned, as the
     decomposition check reads it.
     """
-    c = decomp.params.c
-    ann = Annulus(c)
-    r_out = 2 * c * SQRT2 + 1.0
-    parts = [[np.zeros(0, dtype=np.int32)] * 3]
-    for lvl, (ids, ix, iy, mrad) in decomp.level_arrays.items():
-        if len(ids) < 2:
-            continue
-        side = 2 ** lvl / SQRT2
-        pts = np.stack([ix, iy], axis=1).astype(np.float64)
-        tree = cKDTree(pts)
-        sources = np.arange(len(ids))
+    ann = Annulus(decomp.params.c)
+    r_out = 2 * decomp.params.c * SQRT2 + 1.0
+    ids, ix, iy, mrad = decomp.level_arrays[lvl]
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty)]
+    side = 2 ** lvl / SQRT2
+    pts = np.stack([ix, iy], axis=1).astype(np.float64)
+    tree = cKDTree(pts)
+    sources = np.arange(len(ids))
+    if prune:
+        # a source cell needs a site whose radius reaches the minimum gap
+        # of the annulus, which excludes almost all cells at coarse levels
+        # and keeps the pair count near-linear
+        sources = sources[mrad >= math.sqrt(ann.lo2) * side - EPS]
+    for s0 in range(0, len(sources), 256):
+        chunk = sources[s0:s0 + 256]
+        near = cKDTree(pts[chunk]).sparse_distance_matrix(
+            tree, r_out, p=np.inf, output_type="ndarray")
+        src = chunk[near["i"]]
+        tgt = near["j"].astype(np.int64)
+        g2 = ann.gap2(ix[src] - ix[tgt], iy[src] - iy[tgt])
+        keep = (g2 >= ann.lo2) & (g2 < ann.hi2)
         if prune:
-            # a source cell needs a site whose radius reaches the minimum
-            # gap of the annulus, which excludes almost all cells at
-            # coarse levels and keeps the pair count near-linear
-            sources = sources[mrad >= math.sqrt(ann.lo2) * side - EPS]
-        for s0 in range(0, len(sources), 256):
-            chunk = sources[s0:s0 + 256]
-            near = cKDTree(pts[chunk]).sparse_distance_matrix(
-                tree, r_out, p=np.inf, output_type="ndarray")
-            src = chunk[near["i"]]
-            tgt = near["j"].astype(np.int64)
-            g2 = ann.gap2(ix[src] - ix[tgt], iy[src] - iy[tgt])
-            keep = (g2 >= ann.lo2) & (g2 < ann.hi2)
-            if prune:
-                keep &= mrad[src] >= \
-                    np.sqrt(g2.astype(np.float64)) * side - EPS
-            parts.append([a.astype(np.int32) for a in (
-                ids[tgt[keep]], ids[src[keep]],
-                np.full(int(keep.sum()), lvl))])
+            keep &= mrad[src] >= np.sqrt(g2.astype(np.float64)) * side - EPS
+        parts.append((ids[tgt[keep]], ids[src[keep]]))
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def derive_decomposition(tree, params, variant, sites):
     """Annulus decomposition over a built hierarchy: its nodes with their
     assigned sites R and representatives m, and per level the arrays
-    neighbor_pair_rows enumerates the neighbor relation from.
+    neighbor_pairs enumerates the neighbor relation from.
 
     tree is the NodeArrays of build_hierarchy (or of one of the builders
     it dispatches to); sites is a Site list or its site_array.
@@ -730,34 +721,22 @@ def derive_decomposition(tree, params, variant, sites):
         variant)
 
 
-def cone_assignments(decomp):
-    """Pruned neighbor pairs annotated with the cones that must consider them.
+def cone_assignments(decomp, lvl):
+    """The pruned neighbor pairs of level lvl with the cones that must
+    consider them, one int64 row (target id, source id, j_lo, count) per
+    pair, in no particular order.
 
-    Returns an int32 array of rows (cone, level, target id, source id) in
-    which the rows of each level form one contiguous run, the unit the
-    selection sweep takes at a time; levels come in no particular order. A
-    source cell is assigned to cone j when it lies entirely inside the
-    doubled cone of j whose apex is the target cell's center: the range
-    Annulus.shared_cones gives for the source cell's offset from the
-    target cell.
+    A source cell is assigned to the cones j_lo, ..., j_lo + count - 1
+    (mod k) whose doubled cone, with apex at the target cell's centre,
+    contains all of it: Annulus.shared_cones of the source cell's offset
+    from the target cell. The selection sweep takes one level's rows at a
+    time and never expands a pair into one row per cone.
     """
-    k = decomp.params.k
-    tv, tt, lvl = neighbor_pair_rows(decomp, prune=True)
+    tv, tt = neighbor_pairs(decomp, lvl)
     j_lo, count = Annulus(decomp.params.c).shared_cones(
-        k, decomp.ix[tt] - decomp.ix[tv], decomp.iy[tt] - decomp.iy[tv])
-    rows = np.empty((int(count.sum()), 4), dtype=np.int32)
-    # chunked so the (pair, cone) expansion stays bounded on large inputs
-    end = 0
-    for a in range(0, len(tv), _CHUNK):
-        b = a + _CHUNK
-        pair, cone = _expand(j_lo[a:b], count[a:b])
-        out = rows[end:end + len(pair)]
-        end += len(pair)
-        out[:, 0] = cone % k
-        out[:, 1] = lvl[a:b][pair]
-        out[:, 2] = tv[a:b][pair]
-        out[:, 3] = tt[a:b][pair]
-    return rows
+        decomp.params.k, decomp.ix[tt] - decomp.ix[tv],
+        decomp.iy[tt] - decomp.iy[tv])
+    return np.stack([tv, tt, j_lo, count], axis=1)
 
 
 def decomposition_dump(decomp):
@@ -773,7 +752,7 @@ def decomposition_dump(decomp):
 def check_decomposition(decomp, sites, graph):
     """Soundness check of the annulus decomposition.
 
-    The neighbor relation is read from neighbor_pair_rows(prune=False).
+    The neighbor relation is read from neighbor_pairs(prune=False).
     Part (i): every neighbor pair is same-level with gap in
     [c-2, 2c) diameters, and the relation is symmetric. Part (ii): every
     edge pq of the explicit transmission graph (skipping, for partial
@@ -788,12 +767,13 @@ def check_decomposition(decomp, sites, graph):
     lo2, hi2 = ann.lo2, ann.hi2
     nodes = decomp.nodes
     neighbors = [[] for _ in nodes]
-    tv, tt, _ = neighbor_pair_rows(decomp, prune=False)
-    for a, b in sorted(zip(tv.tolist(), tt.tolist())):
-        neighbors[a].append(b)
+    for lvl in decomp.level_arrays:
+        tv, tt = neighbor_pairs(decomp, lvl, prune=False)
+        for a, b in zip(tv.tolist(), tt.tolist()):
+            neighbors[a].append(b)
     bad_i = []
     for v in nodes:
-        for t_id in neighbors[v.id]:
+        for t_id in sorted(neighbors[v.id]):
             tau = nodes[t_id]
             g2 = same_level_gap_sq(v.cell, tau.cell)
             if tau.cell.level != v.cell.level or not lo2 <= g2 < hi2 \

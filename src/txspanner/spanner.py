@@ -6,11 +6,13 @@ decompositions: bounded spread (quadtree), bounded radius ratio
 sites) and the general case (compressed quadtree augmented with the cells
 of a well-separated pair decomposition). All three hierarchies are
 `NodeArrays` cut from one numpy grid tree, so no builder creates a
-Python object per cell. The sweep takes one level at a time, all cones
-at once: each (cone, node, neighbor cell) row of the level gives every
-target still active in its cone the first disk of the cell that
-contains it, decided by one batched numpy containment test against a
-(cones x sites) activity matrix. Any containing disk keeps the
+Python object per cell. The sweep makes one pass per level, from the
+finest up, all cones at once. It reads the level's neighbor pairs
+(node, neighbor cell) with the range of cones each is considered in;
+a target of the node that is still active in one of those cones, by a
+(cones x sites) activity matrix, is tested once, in one batched numpy
+pass, against the cell's disks, and the first disk that contains it is
+its edge in each such cone. Any containing disk keeps the
 paper's witness argument; choosing it over the lower envelope of the disk
 caps only serves the paper's time bound, so `select_edges_envelope`
 stands alone and no builder calls it. The builders hand the selected
@@ -176,6 +178,12 @@ class SpannerGraph:
             if not (math.isfinite(t) and t > 1.0):
                 raise ValueError(f"{path}:1: stretch must be finite and "
                                  f"exceed 1, got {header[2]}")
+            if n < 0 or m < 0:
+                raise ValueError(f"{path}:1: site and edge counts must be "
+                                 f"non-negative, got {n} {m}")
+            if (k, c) != (0, 0) and not params_satisfy(t, k, c):
+                raise ValueError(f"{path}:1: parameters k={k}, c={c} do not "
+                                 f"support t={t}")
             edges = []
             for lineno, line in enumerate(fh, 2):
                 line = line.strip()
@@ -379,8 +387,8 @@ def select_edges_bruteforce(targets, disks):
 # ---------------------------------------------------------------------------
 # decomposition-driven selection sweep
 
-# bound on the entries one numpy pass holds at once: (row, target) pairs
-# and containment candidates of the sweep, edges of _finish
+# bound on the entries one numpy pass holds at once: (pair, target, cone)
+# entries and containment candidates of the sweep, edges of _finish
 _SWEEP_CHUNK = 1 << 14
 
 
@@ -388,48 +396,58 @@ def _chunks(weight):
     """Consecutive [a, b) index ranges of about _SWEEP_CHUNK total weight
     each; an entry heavier than that gets its own range."""
     cum = np.cumsum(weight)
-    cuts = np.searchsorted(cum, np.arange(_SWEEP_CHUNK, int(cum[-1]),
+    cuts = np.searchsorted(cum, np.arange(_SWEEP_CHUNK, cum.max(initial=0),
                                           _SWEEP_CHUNK), side="right")
     bounds = np.unique(np.concatenate(([0], cuts, [len(weight)]))).tolist()
     return zip(bounds[:-1], bounds[1:])
 
 
-def _select_level(level, csr, active):
+def _select_level(pairs, csr, active):
     """Edges selected at the nodes of one level, in all cones at once.
 
-    level holds the level's rows (cone, level, node v, neighbor cell tau);
-    csr = (xy, rr, site_ptr, site_ids, disk_ptr, disk_ids) gives site
-    coordinates, squared padded radii and, per node, its sites and its
-    disks R_tau + [m_tau]. Each target active at the level's start takes
-    the first disk of each row that contains it. Returns a list of
-    (source, target, cone) array triples; `active` is only read.
+    pairs holds the level's cone_assignments rows (node v, neighbor cell
+    tau, j_lo, count); csr = (xy, rr, site_ptr, site_ids, disk_ptr,
+    disk_ids) gives site coordinates, squared padded radii and, per node,
+    its sites and its disks R_tau + [m_tau]. Each (pair, target) is live in
+    the cones of the pair's range where the target is active at the
+    level's start; a live one is tested against tau's disks once, and its
+    first containing disk is its edge in each of those cones. Returns a
+    list of (source, target, cone) array triples; `active` is only read.
     """
     xy, rr, site_ptr, site_ids, disk_ptr, disk_ids = csr
-    cone, v, tau = level[:, 0], level[:, 2], level[:, 3]
+    k = len(active)
+    v, tau, j_lo, count = pairs.T
     n_sites = site_ptr[v + 1] - site_ptr[v]
     n_disks = disk_ptr[tau + 1] - disk_ptr[tau]
     picked = []
-    for a, b in _chunks(n_sites):
-        # (row, target) pairs over the targets active at level start
-        row, pos = _expand(site_ptr[v[a:b]], n_sites[a:b])
+    for a, b in _chunks(n_sites * count):
+        # (pair, target) entries, each expanded over its pair's cone range
+        # only to read the activity at the level's start
+        pair, pos = _expand(site_ptr[v[a:b]], n_sites[a:b])
+        pair += a
         q = site_ids[pos]
-        row += a
-        keep = active[cone[row], q]
-        row, q = row[keep], q[keep]
-        if len(row) == 0:
+        entry, cone = _expand(j_lo[pair], count[pair])
+        cone %= k
+        keep = active[cone, q[entry]]
+        entry, cone = entry[keep], cone[keep]
+        if len(entry) == 0:
             continue
-        for lo, hi in _chunks(n_disks[row]):
-            # (row, target, disk) candidates; the first hit per pair wins
-            pair, pos = _expand(disk_ptr[tau[row[lo:hi]]], n_disks[row[lo:hi]])
-            qq = q[lo:hi][pair]
+        live = entry[np.diff(entry, prepend=-1) != 0]  # entry is sorted
+        first = np.full(len(pair), -1, dtype=np.int64)
+        for lo, hi in _chunks(n_disks[pair[live]]):
+            # (entry, disk) candidates; the first hit per entry wins
+            ent = live[lo:hi]
+            at, pos = _expand(disk_ptr[tau[pair[ent]]], n_disks[pair[ent]])
+            qq = q[ent][at]
             r = disk_ids[pos]
             dx = xy[qq, 0] - xy[r, 0]
             dy = xy[qq, 1] - xy[r, 1]
             hit = np.flatnonzero(dx * dx + dy * dy <= rr[r])
-            first = np.ones(len(hit), dtype=bool)
-            first[1:] = pair[hit[1:]] != pair[hit[:-1]]
-            hit = hit[first]
-            picked.append((r[hit], qq[hit], cone[row[lo:hi][pair[hit]]]))
+            hit = hit[np.diff(at[hit], prepend=-1) != 0]
+            first[ent[at[hit]]] = r[hit]
+        got = first[entry] >= 0
+        entry, cone = entry[got], cone[got]
+        picked.append((first[entry], q[entry], cone))
     return picked
 
 
@@ -459,25 +477,20 @@ def _decomposition_edges(sites, decomp):
     cone that selected it. Within a cone a site is deactivated once it
     has an incoming edge, and a node reads the activity of its sites once,
     before it meets its neighbor cells. Nodes of one level hold disjoint
-    sites, so every row of a level, in all cones at once, is decided in
-    one batched pass against the activity at the level's start, and the
-    level's deactivations apply after it.
+    sites, so the sweep makes one pass per level, from the finest up: it
+    reads the level's neighbor pairs with their cone ranges from
+    cone_assignments, decides them in all cones at once against the
+    activity at the level's start, and applies the level's deactivations
+    after it.
     """
-    rows = cone_assignments(decomp)
     xyr = site_array(sites)
     csr = (xyr[:, :2], (xyr[:, 2] + EPS) ** 2, decomp.site_ptr,
            decomp.site_ids, *_disk_csr(decomp))
     active = np.ones((decomp.params.k, len(xyr)), dtype=bool)
     empty = np.zeros(0, dtype=np.int64)
     found = [(empty, empty, empty)]
-    # cone_assignments gives each level one contiguous run of rows
-    levels = np.split(rows, np.flatnonzero(np.diff(rows[:, 1])) + 1) \
-        if len(rows) else []
-    levels.sort(key=lambda level: int(level[0, 1]))
-    if len({int(level[0, 1]) for level in levels}) < len(levels):
-        raise AssertionError("cone rows of one level are not contiguous")
-    for level in levels:
-        picked = _select_for_node(level, csr, active)
+    for lvl in sorted(decomp.level_arrays):
+        picked = _select_for_node(cone_assignments(decomp, lvl), csr, active)
         for _, dst, cone in picked:
             active[cone, dst] = False
         found += picked

@@ -51,6 +51,19 @@ def test_generate_validates_arguments():
         generate_sites(5, radius_model="cauchy")
     with pytest.raises(ValueError):
         generate_sites(5, psi_cap=0.5)
+    for model in ("constant", "uniform", "pareto"):
+        with pytest.raises(ValueError,
+                           match="psi cap must be at least 1, got nan"):
+            generate_sites(5, radius_model=model, psi_cap=float("nan"))
+
+
+def test_generate_rejects_nan_psi_cap(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    capsys.readouterr()
+    assert main(["generate", "--n", "5", "--psi-cap", "nan",
+                 "--out", str(out)]) == 2
+    assert "psi cap must be at least 1, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_distributions():
@@ -98,6 +111,19 @@ def test_bfs_rejects_bad_stretch_in_spanner_file(tmp_path, capsys, stretch):
     capsys.readouterr()
     assert main(["bfs", str(sites), str(spanner), "--root", "0"]) == 2
     assert f"{spanner}:1: stretch must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1", "0.5"])
+def test_verify_rejects_bad_stretch(tmp_path, capsys, t):
+    sites = _gen(tmp_path, n=50)
+    out = tmp_path / "h.txt"
+    assert main(["build", str(sites), "--t", "2", "--variant", "ratio",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(sites), str(out), f"--t={t}"]) == 2
+    captured = capsys.readouterr()
+    assert "stretch must be finite and exceed 1" in captured.err
+    assert "stretch check" not in captured.out
 
 
 def test_verify_variant_needs_grid_parameters(tmp_path, capsys):

@@ -30,7 +30,7 @@ from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      check_decomposition,
                                      compute_wspd, decomposition_dump,
                                      derive_decomposition, forest_depth,
-                                     near_cell_count, neighbor_pair_rows,
+                                     near_cell_count, neighbor_pairs,
                                      partition_components, radius_ratio)
 from txspanner.oracle import degenerate_instances, materialize
 from txspanner.spanner import BUILDERS
@@ -562,8 +562,10 @@ def test_neighborhood_size_bound():
     norm, _, _ = normalized_for(sites, PARAMS, VARIANT_SPREAD)
     decomp = derive_decomposition(build_hierarchy(norm, PARAMS, VARIANT_SPREAD),
                                   PARAMS, VARIANT_SPREAD, norm)
-    tv, _, _ = neighbor_pair_rows(decomp, prune=False)
-    assert np.bincount(tv).max() <= annulus_cell_count(PARAMS.c)
+    bound = annulus_cell_count(PARAMS.c)
+    for lvl in decomp.level_arrays:
+        tv, _ = neighbor_pairs(decomp, lvl, prune=False)
+        assert np.bincount(tv, minlength=1).max() <= bound
 
 
 def test_each_site_in_at_most_two_assigned_sets():

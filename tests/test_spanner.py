@@ -241,14 +241,23 @@ def _reference_edges(sites, decomp, envelope=False):
     """
     import txspanner.spanner as spanner_mod
     from txspanner.core import disk_contains
-    from txspanner.decomposition import cone_assignments
+    from txspanner.decomposition import Annulus, neighbor_pairs
 
     if isinstance(sites, np.ndarray):
         # the ratio builder sweeps each component's site_array rows
         sites = make_sites(sites.tolist())
     nodes = decomp.nodes
+    k = decomp.params.k
+    ann = Annulus(decomp.params.c)
+    rows = []
+    for lvl in decomp.level_arrays:
+        for v, tau in zip(*(a.tolist() for a in neighbor_pairs(decomp, lvl))):
+            j_lo, count = ann.cones(k, decomp.ix[tau] - decomp.ix[v],
+                                    decomp.iy[tau] - decomp.iy[v])
+            rows += [((int(j_lo) + i) % k, lvl, v, tau)
+                     for i in range(int(count))]
     groups = {}
-    for cone, _, v, tau in sorted(cone_assignments(decomp).tolist()):
+    for cone, _, v, tau in sorted(rows):
         groups.setdefault((cone, v), []).append(tau)
     entries = []
     active = {}
@@ -614,4 +623,17 @@ def test_spanner_load_rejects_bad_files(tmp_path):
         path.write_text(f"2 1 {stretch} 101 68\n0 1 1.0\n")
         with pytest.raises(ValueError,
                            match=f"{path}:1: stretch must be finite"):
+            SpannerGraph.load(path)
+    for header in ("-1 0 2.0 0 0", "2 -1 2.0 0 0"):
+        path.write_text(f"{header}\n")
+        with pytest.raises(ValueError,
+                           match=f"{path}:1: site and edge counts must be "
+                                 "non-negative"):
+            SpannerGraph.load(path)
+    # a (k, c) no builder writes: negative, too small, half of a pair, or
+    # the pair of t = 2 under t = 1.5
+    for header in ("2 1 2.0 -5 68", "2 1 2.0 3 1", "2 1 2.0 0 68",
+                   "2 1 2.0 101 0", "2 1 1.5 101 68"):
+        path.write_text(f"{header}\n0 1 1.0\n")
+        with pytest.raises(ValueError, match=f"{path}:1: parameters k="):
             SpannerGraph.load(path)
