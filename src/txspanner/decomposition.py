@@ -32,9 +32,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
-                   MODE_SMALLEST_RADIUS, SQRT2, GridCell,
-                   cell_of, closest_pair, cone_ranges,
-                   same_level_gap_sq)
+                   MODE_SMALLEST_RADIUS, SQRT2, GridCell, closest_pair,
+                   cone_ranges)
 
 VARIANT_SPREAD = "spread"
 VARIANT_RATIO = "ratio"
@@ -603,7 +602,7 @@ class AnnulusDecomposition:
 
     `nodes` is a QuadNode view with m, max_radius and R filled in, built
     on first item access; len(nodes) builds nothing. Nothing in the
-    package reads it but check_decomposition.
+    package reads it.
     """
 
     def __init__(self, cells, assignments, params, variant):
@@ -673,6 +672,16 @@ def neighbor_pairs(decomp, lvl, prune=True):
     dropped; such pairs can contribute neither edges nor Definition-3
     witnesses. With prune=False the full relation N is returned, as the
     decomposition check reads it.
+
+    Candidates come from a kd-tree search over the level's cell indices
+    in the Chebyshev metric, one per chunk of 256 source cells. An
+    annulus neighbor lies at Chebyshev offset below r_out = 2c sqrt 2 + 1
+    cells. With prune=True a chunk searches only as far as its sites can
+    reach: a kept pair has sqrt(gap2) <= (mrad + EPS) / side for the
+    source's max radius mrad and the cell side, and a gap of g cells
+    between two cells allows a Chebyshev offset of at most g + 1, so the
+    box of min(r_out, (max mrad of the chunk + EPS) / side + 2) cells
+    holds every kept pair, with one cell to spare for rounding.
     """
     ann = Annulus(decomp.params.c)
     r_out = 2 * decomp.params.c * SQRT2 + 1.0
@@ -690,8 +699,11 @@ def neighbor_pairs(decomp, lvl, prune=True):
         sources = sources[mrad >= math.sqrt(ann.lo2) * side - EPS]
     for s0 in range(0, len(sources), 256):
         chunk = sources[s0:s0 + 256]
+        reach = r_out
+        if prune:
+            reach = min(r_out, (float(mrad[chunk].max()) + EPS) / side + 2.0)
         near = cKDTree(pts[chunk]).sparse_distance_matrix(
-            tree, r_out, p=np.inf, output_type="ndarray")
+            tree, reach, p=np.inf, output_type="ndarray")
         src = chunk[near["i"]]
         tgt = near["j"].astype(np.int64)
         g2 = ann.gap2(ix[src] - ix[tgt], iy[src] - iy[tgt])
@@ -750,7 +762,7 @@ def decomposition_dump(decomp):
 
 
 def check_decomposition(decomp, sites, graph):
-    """Soundness check of the annulus decomposition.
+    """Soundness check of the annulus decomposition, in numpy arrays.
 
     The neighbor relation is read from neighbor_pairs(prune=False).
     Part (i): every neighbor pair is same-level with gap in
@@ -759,55 +771,75 @@ def check_decomposition(decomp, sites, graph):
     decompositions, edges whose level-0 cells are closer than c-2) is
     covered by a neighbor pair (sigma, tau) with q in sigma, p in tau,
     and p assigned to tau or q inside the disk of tau's representative.
-    Returns (part_i_violations, part_ii_violations).
+    Nodes of one level hold disjoint sites, so (sigma, tau) can only be
+    the nodes of q and of p at one level. Gaps come from the cell indices
+    directly, not from Annulus; an axis gap past sqrt(hi2) is clipped to
+    it, which keeps the squares within int64 and the pair out of range.
+    Returns (part_i_violations, part_ii_violations): (sigma, tau) pairs
+    ordered by ids, and (p, q) edges ordered by p, then by q as `graph`
+    lists them.
     """
-    from .core import disk_contains
+    lo2, hi2 = 2 * (decomp.params.c - 2) ** 2, 8 * decomp.params.c ** 2
+    axis = math.isqrt(hi2) + 1
+    nn = len(decomp.level)
+    # the relation as one sorted int64 key per pair, tv * nn + tt; it can
+    # hold millions of pairs, so it is read in chunks of `step` entries
+    key = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        tv * nn + tt for tv, tt in (neighbor_pairs(decomp, lvl, prune=False)
+                                    for lvl in decomp.level_arrays)])
+    key.sort()
+    step = 1 << 20
 
-    ann = Annulus(decomp.params.c)
-    lo2, hi2 = ann.lo2, ann.hi2
-    nodes = decomp.nodes
-    neighbors = [[] for _ in nodes]
-    for lvl in decomp.level_arrays:
-        tv, tt = neighbor_pairs(decomp, lvl, prune=False)
-        for a, b in zip(tv.tolist(), tt.tolist()):
-            neighbors[a].append(b)
+    def gap2(dx, dy):
+        gx, gy = (np.minimum(np.maximum(np.abs(d) - 1, 0), axis)
+                  for d in (dx, dy))
+        return gx * gx + gy * gy
+
+    def member(keys, table):
+        # table is sorted: one binary search per key
+        at = np.searchsorted(table, keys)
+        found = at < len(table)
+        found[found] = table[at[found]] == keys[found]
+        return found
+
     bad_i = []
-    for v in nodes:
-        for t_id in sorted(neighbors[v.id]):
-            tau = nodes[t_id]
-            g2 = same_level_gap_sq(v.cell, tau.cell)
-            if tau.cell.level != v.cell.level or not lo2 <= g2 < hi2 \
-                    or v.id not in neighbors[t_id]:
-                bad_i.append((v.id, t_id))
-    site_nodes = [[] for _ in sites]
-    for v in nodes:
-        for i in v.sites:
-            site_nodes[i].append(v.id)
-    site_sets = {v.id: set(v.sites) for v in nodes}
-    r_sets = {v.id: set(v.R) for v in nodes}
-    bad_ii = []
-    for p in range(len(sites)):
-        cp = cell_of(sites[p].x, sites[p].y, 0)
-        for q in graph.neighbors(p):
-            q = int(q)
-            if decomp.partial:
-                cq = cell_of(sites[q].x, sites[q].y, 0)
-                if same_level_gap_sq(cp, cq) < lo2:
-                    continue
-            ok = False
-            for v_id in site_nodes[q]:
-                for t_id in neighbors[v_id]:
-                    if p not in site_sets[t_id]:
-                        continue
-                    tau = nodes[t_id]
-                    if p in r_sets[t_id] or disk_contains(
-                            sites[tau.m], sites[q].x, sites[q].y):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
-                bad_ii.append((p, q))
+    for a in range(0, len(key), step):
+        tv, tt = np.divmod(key[a:a + step], nn)
+        g2 = gap2(decomp.ix[tv] - decomp.ix[tt], decomp.iy[tv] - decomp.iy[tt])
+        ok = (decomp.level[tv] == decomp.level[tt]) & (g2 >= lo2) \
+            & (g2 < hi2) & member(tt * nn + tv, key)
+        bad_i += zip(tv[~ok].tolist(), tt[~ok].tolist())
+
+    xyr = site_array(sites)
+    x, y, rr = xyr[:, 0], xyr[:, 1], (xyr[:, 2] + EPS) ** 2
+    n = len(xyr)
+    # row k: each site's node at the k-th level (-1 where it has none)
+    levels, lvl_row = np.unique(decomp.level, return_inverse=True)
+    owner = np.repeat(np.arange(nn), np.diff(decomp.site_ptr))
+    node_at = np.full((len(levels), n), -1, dtype=np.int64)
+    node_at[lvl_row[owner], decomp.site_ids] = owner
+    assigned = np.sort(np.repeat(np.arange(nn), np.diff(decomp.R_ptr)) * n
+                       + decomp.R_ids)
+    csr = graph.csr
+    p_all = np.repeat(np.arange(n), np.diff(csr.indptr))
+    q_all = csr.indices.astype(np.int64)
+    need = np.ones(len(q_all), dtype=bool)
+    if decomp.partial:
+        side = 1 / SQRT2  # cell_of's level-0 side
+        cx, cy = np.floor(x / side), np.floor(y / side)
+        need = gap2((cx[p_all] - cx[q_all]).astype(np.int64),
+                    (cy[p_all] - cy[q_all]).astype(np.int64)) >= lo2
+    covered = ~need
+    step //= max(len(levels), 1)  # a chunk's edges at every level
+    for a in range(0, len(q_all), step):
+        p, q = p_all[a:a + step], q_all[a:a + step]
+        v, t = node_at[:, q], node_at[:, p]
+        m = decomp.m[t]
+        hit = (v >= 0) & (t >= 0) & member(v * nn + t, key) & (
+            member(t * n + p, assigned)
+            | ((x[q] - x[m]) ** 2 + (y[q] - y[m]) ** 2 <= rr[m]))
+        covered[a:a + step] |= hit.any(axis=0)
+    bad_ii = list(zip(p_all[~covered].tolist(), q_all[~covered].tolist()))
     return bad_i, bad_ii
 
 

@@ -517,35 +517,40 @@ def euclidean_spanner(xy, t, radius):
     """Yao graph of the disk graph UDG(radius) over the points `xy`.
 
     xy is an (n, 2) array. Every pair within distance `radius` is a
-    candidate; each point keeps, per cone of yao_cone_count(t), its
-    nearest candidate (ties to the smaller index). Returns the undirected
-    index pairs (i, j), i < j, as a sorted (m, 2) int64 array with
+    candidate, from one kd-tree `query_pairs` call; each point keeps, per
+    cone of yao_cone_count(t), its nearest candidate (ties to the smaller
+    index). The choice is two scatter-min passes over the flat
+    (point * k + cone) slot of each directed candidate, with no sort: the
+    least squared distance per slot, then the least neighbor index among
+    the candidates that tie it. Returns the undirected index pairs
+    (i, j), i < j, as a sorted (m, 2) int64 array with
     m <= yao_cone_count(t) * n. Every pair within `radius` is joined by a
     path of these edges at most t times its length.
     """
     k = yao_cone_count(t)
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    n = len(xy)
     pairs = cKDTree(xy).query_pairs(radius, output_type="ndarray")
     if len(pairs) == 0:
         return np.zeros((0, 2), dtype=np.int64)
     src = np.concatenate((pairs[:, 0], pairs[:, 1]))
     dst = np.concatenate((pairs[:, 1], pairs[:, 0]))
-    d = xy[dst] - xy[src]
-    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    ang = np.arctan2(d[:, 1], d[:, 0]) % (2.0 * math.pi)
-    cone = np.minimum((ang / (2.0 * math.pi / k)).astype(np.int64), k - 1)
-    # per (src, cone) group, one run after sorting its key: the least d2,
-    # then the least dst among those
-    key = src * k + cone
-    order = np.argsort(key)
-    key, d2, dst = key[order], d2[order], dst[order]
-    first = np.diff(key, prepend=-1) != 0
-    start = np.flatnonzero(first)
-    tie = d2 == np.minimum.reduceat(d2, start)[np.cumsum(first) - 1]
-    b = np.minimum.reduceat(np.where(tie, dst, len(xy)), start)
-    a = key[start] // k
-    kept = np.unique(np.minimum(a, b) * len(xy) + np.maximum(a, b))
-    return np.stack(np.divmod(kept, len(xy)), axis=1)
+    x, y = xy[:, 0], xy[:, 1]
+    dx = x[dst] - x[src]
+    dy = y[dst] - y[src]
+    d2 = dx * dx + dy * dy
+    ang = np.arctan2(dy, dx) % (2.0 * math.pi)
+    slot = src * k + np.minimum((ang / (2.0 * math.pi / k)).astype(np.int64),
+                                k - 1)
+    best = np.full(n * k, np.inf)
+    np.minimum.at(best, slot, d2)
+    tie = d2 == best[slot]
+    nearest = np.full(n * k, n, dtype=np.int64)
+    np.minimum.at(nearest, slot[tie], dst[tie])
+    slot = np.flatnonzero(nearest < n)
+    a, b = slot // k, nearest[slot]
+    kept = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.stack(np.divmod(kept, n), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +659,9 @@ def build_spanner_radius_ratio(sites, t, params=None):
                   np.concatenate((pairs[:, 1], pairs[:, 0])),
                   np.full(2 * len(pairs), -1, dtype=np.int64)))
     src, dst, cone = (np.concatenate(col) for col in zip(*parts))
+    # the pieces go before _finish, which would otherwise hold them beside
+    # the joined arrays
+    del parts
     return _finish(sites, n, src, dst, cone, t, params, VARIANT_RATIO, scale,
                    offset)
 

@@ -1,6 +1,7 @@
 """Reference oracles for the cell hierarchies: the node-by-node `QuadNode`
 builders that the array hierarchy of `txspanner.decomposition` replaced,
-and per-pair Python forms of compute_wspd and augment_with_wspd.
+per-pair Python forms of compute_wspd and augment_with_wspd, and the
+node-by-node form of check_decomposition.
 
 The array builders must give the same six arrays (level, ix, iy, parent,
 site_ptr, site_ids; member order included) as `tree_arrays` of these
@@ -12,10 +13,11 @@ import math
 
 import numpy as np
 
-from txspanner.core import SQRT2, GridCell, cell_distance, cell_of
-from txspanner.decomposition import (VARIANT_RATIO, VARIANT_SPREAD,
+from txspanner.core import (SQRT2, GridCell, cell_distance, cell_of,
+                            disk_contains, same_level_gap_sq)
+from txspanner.decomposition import (VARIANT_RATIO, VARIANT_SPREAD, Annulus,
                                      NodeArrays, QuadNode, forest_depth,
-                                     radius_ratio)
+                                     neighbor_pairs, radius_ratio)
 
 
 class RefNode(QuadNode):
@@ -265,3 +267,64 @@ def hierarchy(sites, params, variant):
         return build_quadforest(sites)
     root = build_compressed_quadtree(sites)
     return augment_with_wspd(root, compute_wspd(root, params.c), params, sites)
+
+
+def check_decomposition(decomp, sites, graph):
+    """The node-by-node form of decomposition.check_decomposition, with
+    the same arguments and result.
+
+    The neighbor relation is read from neighbor_pairs(prune=False).
+    Part (i): every neighbor pair is same-level with gap in
+    [c-2, 2c) diameters, and the relation is symmetric. Part (ii): every
+    edge pq of the explicit transmission graph (skipping, for partial
+    decompositions, edges whose level-0 cells are closer than c-2) is
+    covered by a neighbor pair (sigma, tau) with q in sigma, p in tau,
+    and p assigned to tau or q inside the disk of tau's representative.
+    Returns (part_i_violations, part_ii_violations).
+    """
+    ann = Annulus(decomp.params.c)
+    lo2, hi2 = ann.lo2, ann.hi2
+    nodes = decomp.nodes
+    neighbors = [[] for _ in nodes]
+    for lvl in decomp.level_arrays:
+        tv, tt = neighbor_pairs(decomp, lvl, prune=False)
+        for a, b in zip(tv.tolist(), tt.tolist()):
+            neighbors[a].append(b)
+    bad_i = []
+    for v in nodes:
+        for t_id in sorted(neighbors[v.id]):
+            tau = nodes[t_id]
+            g2 = same_level_gap_sq(v.cell, tau.cell)
+            if tau.cell.level != v.cell.level or not lo2 <= g2 < hi2 \
+                    or v.id not in neighbors[t_id]:
+                bad_i.append((v.id, t_id))
+    site_nodes = [[] for _ in sites]
+    for v in nodes:
+        for i in v.sites:
+            site_nodes[i].append(v.id)
+    site_sets = {v.id: set(v.sites) for v in nodes}
+    r_sets = {v.id: set(v.R) for v in nodes}
+    bad_ii = []
+    for p in range(len(sites)):
+        cp = cell_of(sites[p].x, sites[p].y, 0)
+        for q in graph.neighbors(p):
+            q = int(q)
+            if decomp.partial:
+                cq = cell_of(sites[q].x, sites[q].y, 0)
+                if same_level_gap_sq(cp, cq) < lo2:
+                    continue
+            ok = False
+            for v_id in site_nodes[q]:
+                for t_id in neighbors[v_id]:
+                    if p not in site_sets[t_id]:
+                        continue
+                    tau = nodes[t_id]
+                    if p in r_sets[t_id] or disk_contains(
+                            sites[tau.m], sites[q].x, sites[q].y):
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                bad_ii.append((p, q))
+    return bad_i, bad_ii

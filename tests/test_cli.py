@@ -174,8 +174,8 @@ def test_verify_shorter_edge_past_materialize_cap(tmp_path, capsys):
     assert main(["verify", str(path), str(out), "--variant", "ratio"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "shorter-edge check: ok" in lines
-    # the decomposition check needs the dense G, and says it was skipped
-    assert "decomposition check: skipped (n > 2000)" in lines
+    # so does the decomposition check, on G from the same enumeration
+    assert "decomposition check: ok" in lines
 
     # a target with a G in-neighbour at level-0 gap >= c - 2 loses all its
     # in-edges: nothing can witness that missing edge
@@ -200,6 +200,27 @@ def test_verify_shorter_edge_past_materialize_cap(tmp_path, capsys):
     assert main(["verify", str(path), str(out), "--variant", "ratio"]) == 1
     assert f"shorter-edge check: {len(bad)} violations" in \
         capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant", ["spread", "ratio", "general"])
+def test_verify_decomposition_past_materialize_cap(tmp_path, capsys,
+                                                   monkeypatch, variant):
+    # the check reads G from transmission_edges, never from the dense
+    # oracle, so a cap below n neither skips it nor fails it
+    path = _gen(tmp_path, n=150, model="pareto", seed=8)
+    out = tmp_path / "h.txt"
+    assert main(["build", str(path), "--t", "2", "--variant", variant,
+                 "--out", str(out)]) == 0
+    monkeypatch.setattr(oracle_mod, "MATERIALIZE_CAP", 100)
+    monkeypatch.setattr(oracle_mod, "DIJKSTRA_CAP", 100)  # stretch audit
+
+    def refuse(sites):
+        raise AssertionError("materialize called")
+
+    monkeypatch.setattr(oracle_mod, "materialize", refuse)
+    capsys.readouterr()
+    assert main(["verify", str(path), str(out), "--variant", variant]) == 0
+    assert "decomposition check: ok" in capsys.readouterr().out.splitlines()
 
 
 def test_missing_input_file(tmp_path):

@@ -6,12 +6,14 @@ import math
 import random
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_trees as ref_trees
+import txspanner.decomposition as decomposition_mod
 from conftest import normalized_for, random_instance
 from test_spanner import _clumped_instance
 from txspanner.cli import generate_sites
@@ -22,7 +24,8 @@ from txspanner.core import (EPS, MODE_CLOSEST_PAIR_C, MODE_CLOSEST_PAIR_C2,
                             spanner_parameters)
 from txspanner.decomposition import (VARIANT_GENERAL, VARIANT_RATIO,
                                      VARIANT_SPREAD, QuadNode,
-                                     Annulus, annulus_cell_count,
+                                     Annulus, AnnulusDecomposition,
+                                     annulus_cell_count,
                                      augment_with_wspd,
                                      build_compressed_quadtree,
                                      build_hierarchy, build_quadforest,
@@ -555,6 +558,123 @@ def test_decomposition_sound(variant, model):
     bad_i, bad_ii = check_decomposition(decomp, norm, materialize(norm))
     assert bad_i == []
     assert bad_ii == []
+
+
+def _pruned_reference(decomp, lvl):
+    """The pruned pairs of level lvl as the full-r_out enumeration
+    (prune=False) under neighbor_pairs' two prune filters, as a set."""
+    ann = Annulus(decomp.params.c)
+    _, ix, iy, mrad = decomp.level_arrays[lvl]
+    pos = {v: i for i, v in enumerate(decomp.level_arrays[lvl][0].tolist())}
+    side = 2 ** lvl / SQRT2
+    out = set()
+    for tv, tt in zip(*(a.tolist() for a in neighbor_pairs(decomp, lvl,
+                                                           prune=False))):
+        s, t = pos[tt], pos[tv]
+        g2 = int(ann.gap2(ix[s] - ix[t], iy[s] - iy[t]))
+        if mrad[s] >= math.sqrt(ann.lo2) * side - EPS \
+                and mrad[s] >= math.sqrt(g2) * side - EPS:
+            out.add((tv, tt))
+    return out
+
+
+def test_pruned_pairs_match_full_box():
+    # one synthetic level of 700 cells with mixed reaches, so that the
+    # sources fill three chunks of 256 whose search boxes differ
+    rng = np.random.default_rng(61)
+    c = PARAMS.c
+    ann = Annulus(c)
+    side = 1 / SQRT2
+    g = 120  # cell 0 reaches exactly this gap; cell 1 lies at (g + 1, 0)
+    assert ann.lo2 <= g * g < ann.hi2
+    cells = [(0, 0), (g + 1, 0)]
+    for v in map(tuple, rng.integers(-420, 420, (800, 2)).tolist()):
+        if v not in cells and len(cells) < 700:
+            cells.append(v)
+    ix, iy = np.array(cells, dtype=np.int64).T
+    lo_reach = math.sqrt(ann.lo2) * side
+    mrad = rng.uniform(lo_reach - 10, (2 * c * SQRT2 + 5) * side, len(ix))
+    mrad[0] = g * side
+    sources = np.flatnonzero(mrad >= lo_reach - EPS)
+    assert len(sources) > 2 * 256 and sources[0] == 0
+    # cell 0 has the first chunk's largest radius
+    first = sources[1:256]
+    mrad[first] = np.minimum(mrad[first], g * side - 1.0)
+    decomp = types.SimpleNamespace(params=PARAMS, level_arrays={
+        0: (np.arange(len(ix)), ix, iy, mrad)})
+    got = set(zip(*(a.tolist() for a in neighbor_pairs(decomp, 0))))
+    # the pair at the largest Chebyshev offset the first chunk's box needs
+    assert (1, 0) in got
+    assert g + 1 == math.floor((mrad[0] + EPS) / side) + 1
+    assert got == _pruned_reference(decomp, 0)
+    assert len(got) == len(neighbor_pairs(decomp, 0)[0])
+
+
+@pytest.mark.parametrize("variant,model", [
+    (VARIANT_SPREAD, "uniform"),
+    (VARIANT_RATIO, "pareto"),
+    (VARIANT_GENERAL, "pareto"),
+])
+def test_pruned_pairs_match_full_box_on_hierarchies(variant, model):
+    sites = random_instance(400, model=model, seed=62, psi_cap=32.0)
+    norm, _, _ = normalized_for(sites, PARAMS, variant)
+    decomp = derive_decomposition(build_hierarchy(norm, PARAMS, variant),
+                                  PARAMS, variant, norm)
+    for lvl in decomp.level_arrays:
+        tv, tt = neighbor_pairs(decomp, lvl)
+        assert set(zip(tv.tolist(), tt.tolist())) == \
+            _pruned_reference(decomp, lvl)
+        assert len(tv) == len(set(zip(tv.tolist(), tt.tolist())))
+
+
+def _check_cases(variant, seed):
+    """(tree, normalized sites, decomposition, G) of one small instance."""
+    sites = generate_sites(150, "uniform-square", "pareto", seed, 16.0)
+    norm, _, _ = normalized_for(sites, PARAMS, variant)
+    tree = build_hierarchy(norm, PARAMS, variant)
+    return tree, norm, derive_decomposition(tree, PARAMS, variant, norm), \
+        materialize(norm)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_SPREAD, VARIANT_RATIO,
+                                     VARIANT_GENERAL])
+def test_check_decomposition_matches_reference(monkeypatch, variant):
+    tree, norm, decomp, g = _check_cases(variant, 63)
+    assert check_decomposition(decomp, norm, g) == \
+        ref_trees.check_decomposition(decomp, norm, g) == ([], [])
+
+    # part (ii): drop half of each R and hand half of the nodes the
+    # smallest disk of all as representative, on a fresh tree (the node
+    # view is shared)
+    rng = np.random.default_rng(64)
+    tree, norm, _, g = _check_cases(variant, 63)
+    m = decomp.m.copy()
+    m[(m >= 0) & (rng.random(len(m)) < 0.5)] = np.argmin(
+        [s.radius for s in norm])
+    keep = rng.random(len(decomp.R_ids)) < 0.5
+    owner = np.repeat(np.arange(len(m)), np.diff(decomp.R_ptr))
+    R_ptr = np.concatenate(([0], np.cumsum(
+        np.bincount(owner[keep], minlength=len(m)))))
+    bent = AnnulusDecomposition(tree, (m, decomp.max_radius, R_ptr,
+                                       decomp.R_ids[keep]), PARAMS, variant)
+    got = check_decomposition(bent, norm, g)
+    assert got[1] and got == ref_trees.check_decomposition(bent, norm, g)
+
+    # part (i): a relation missing half its pairs (asymmetric), with a far
+    # pair and a pair across levels added
+    full_pairs = neighbor_pairs
+
+    def bent_pairs(decomp, lvl, prune=True):
+        tv, tt = full_pairs(decomp, lvl, prune)
+        keep = np.random.default_rng(lvl).random(len(tv)) > 0.5
+        ids = decomp.level_arrays[lvl][0]
+        return (np.append(tv[keep], [ids[0], ids[0]]),
+                np.append(tt[keep], [ids[-1], 0]))
+
+    monkeypatch.setattr(decomposition_mod, "neighbor_pairs", bent_pairs)
+    monkeypatch.setattr(ref_trees, "neighbor_pairs", bent_pairs)
+    got = check_decomposition(decomp, norm, g)
+    assert got[0] and got == ref_trees.check_decomposition(decomp, norm, g)
 
 
 def test_neighborhood_size_bound():

@@ -476,30 +476,62 @@ def test_euclidean_collinear_path_stretch_one():
         assert i + 1 in adj[i]
 
 
+def _yao_reference(pts, t, radius):
+    """Yao graph of UDG(radius) pair by pair: per point and cone the
+    least (d2, index) neighbor, as sorted [i, j] lists with i < j."""
+    xy = np.array(pts, dtype=np.float64).reshape(-1, 2)
+    k = yao_cone_count(t)
+    kept = set()
+    for i in range(len(pts)):
+        best = {}
+        for j in range(len(pts)):
+            d = xy[j] - xy[i]
+            d2 = d[0] * d[0] + d[1] * d[1]
+            if j == i or d2 > radius * radius:
+                continue
+            ang = np.arctan2(d[1], d[0]) % (2.0 * math.pi)
+            cone = min(int(ang / (2.0 * math.pi / k)), k - 1)
+            if cone not in best or (d2, j) < best[cone]:
+                best[cone] = (d2, j)
+        kept |= {(min(i, j), max(i, j)) for _, j in best.values()}
+    return sorted(map(list, kept))
+
+
 def test_euclidean_keeps_nearest_per_cone_smaller_index_on_ties():
     rng = random.Random(79)
     # a coarse lattice makes equal distances common; a few points coincide
     pts = [(rng.randrange(12) * 0.5, rng.randrange(12) * 0.5)
            for _ in range(90)]
     pts += pts[:5]
-    xy = np.array(pts)
-    k = yao_cone_count(2.0)
     for radius in (1.1, 2.5):
-        kept = set()
-        for i in range(len(pts)):
-            best = {}
-            for j in range(len(pts)):
-                d = xy[j] - xy[i]
-                d2 = d[0] * d[0] + d[1] * d[1]
-                if j == i or d2 > radius * radius:
-                    continue
-                ang = np.arctan2(d[1], d[0]) % (2.0 * math.pi)
-                cone = min(int(ang / (2.0 * math.pi / k)), k - 1)
-                if cone not in best or (d2, j) < best[cone]:
-                    best[cone] = (d2, j)
-            kept |= {(min(i, j), max(i, j)) for _, j in best.values()}
         assert euclidean_spanner(pts, 2.0, radius).tolist() == \
-            sorted(map(list, kept))
+            _yao_reference(pts, 2.0, radius)
+
+
+def test_euclidean_radius_is_inclusive():
+    # integer lattice points 5 apart: a pair at exactly `radius` is a
+    # candidate, and it drops out once the radius is one float step short
+    pts = [(0.0, 0.0), (3.0, 4.0), (8.0, 4.0), (8.0, 9.0)]
+    assert euclidean_spanner(pts, 2.0, 5.0).tolist() == \
+        [[0, 1], [1, 2], [2, 3]]
+    assert euclidean_spanner(pts, 2.0, np.nextafter(5.0, 0.0)).tolist() == []
+
+
+def test_euclidean_coincident_points():
+    # coincident points lie in cone 0 of each other at distance 0, so
+    # each keeps its smallest-index twin
+    pts = [(1.0, 1.0)] * 3 + [(2.0, 2.0), (2.0, 2.0), (1.5, 1.0)]
+    for radius in (0.0, 0.6, 2.0):
+        assert euclidean_spanner(pts, 2.0, radius).tolist() == \
+            _yao_reference(pts, 2.0, radius)
+    assert euclidean_spanner(pts, 2.0, 0.0).tolist() == \
+        [[0, 1], [0, 2], [3, 4]]
+
+
+def test_euclidean_empty_disk_graph():
+    for pts in ([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], [(1.0, 2.0)]):
+        edges = euclidean_spanner(pts, 2.0, 1.0)
+        assert edges.shape == (0, 2) and edges.dtype == np.int64
 
 
 def test_euclidean_stretch_vs_complete_graph():
